@@ -56,12 +56,12 @@ struct setup {
         return p;
     }
     /// `init` advanced a few image steps (a non-trivial frontier).
-    [[nodiscard]] bdd advanced_frontier(const image_engine& engine,
+    [[nodiscard]] bdd advanced_frontier(const transition_relation& relation,
                                         int steps = 3) {
         const std::vector<std::uint32_t> perm = cs_ns_swap();
         bdd from = init;
         for (int k = 0; k < steps; ++k) {
-            from |= mgr.permute(engine.image(from), perm);
+            from |= mgr.permute(relation.image(from), perm);
         }
         return from;
     }
@@ -80,11 +80,12 @@ network bench_circuit(int size) {
 void bm_image_scheduled(benchmark::State& state) {
     setup s(bench_circuit(static_cast<int>(state.range(0))));
     image_options options;
-    const image_engine engine(s.mgr, s.parts(), s.quantify(), options);
+    const transition_relation relation(s.mgr, s.parts(), s.quantify(),
+                                       options);
     // image from a frontier after a few steps (more interesting than init)
-    const bdd from = s.advanced_frontier(engine);
+    const bdd from = s.advanced_frontier(relation);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(engine.image(from));
+        benchmark::DoNotOptimize(relation.image(from));
     }
 }
 BENCHMARK(bm_image_scheduled)->Arg(8)->Arg(16)->Arg(24)->Arg(32);
@@ -93,10 +94,11 @@ void bm_image_naive(benchmark::State& state) {
     setup s(bench_circuit(static_cast<int>(state.range(0))));
     image_options options;
     options.early_quantification = false;
-    const image_engine engine(s.mgr, s.parts(), s.quantify(), options);
+    const transition_relation relation(s.mgr, s.parts(), s.quantify(),
+                                       options);
     bdd from = s.init;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(engine.image(from));
+        benchmark::DoNotOptimize(relation.image(from));
     }
 }
 BENCHMARK(bm_image_naive)->Arg(8)->Arg(16)->Arg(24)->Arg(32);
@@ -169,10 +171,11 @@ void bm_cluster_limit(benchmark::State& state) {
     setup s(bench_circuit(20));
     image_options options;
     options.cluster_limit = static_cast<std::size_t>(state.range(0));
-    const image_engine engine(s.mgr, s.parts(), s.quantify(), options);
+    const transition_relation relation(s.mgr, s.parts(), s.quantify(),
+                                       options);
     bdd from = s.init;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(engine.image(from));
+        benchmark::DoNotOptimize(relation.image(from));
     }
 }
 BENCHMARK(bm_cluster_limit)->Arg(0)->Arg(500)->Arg(2500)->Arg(10000);
@@ -189,12 +192,13 @@ void bm_cluster_policy(benchmark::State& state) {
     // these sizes (the default 2500 merges everything into one cluster,
     // which would compare identical schedules)
     options.cluster_limit = 600;
-    const image_engine engine(s.mgr, s.parts(), s.quantify(), options);
+    const transition_relation relation(s.mgr, s.parts(), s.quantify(),
+                                       options);
     state.SetLabel(std::string(to_string(options.policy)) + "/" +
-                   std::to_string(engine.num_clusters()) + "cl");
-    const bdd from = s.advanced_frontier(engine);
+                   std::to_string(relation.num_clusters()) + "cl");
+    const bdd from = s.advanced_frontier(relation);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(engine.image(from));
+        benchmark::DoNotOptimize(relation.image(from));
     }
 }
 BENCHMARK(bm_cluster_policy)->ArgsProduct({{16, 24, 32}, {0, 1, 2}});

@@ -320,13 +320,6 @@ public:
     /// Number of DAG nodes (including the terminal) reachable from f.  With
     /// complement edges f and !f have identical size by construction.
     [[nodiscard]] std::size_t dag_size(const bdd& f);
-    /// `dag_size(f) >= n`, without computing the full size: the walk stops
-    /// as soon as `n` distinct nodes are seen, and visited marks live in a
-    /// reusable epoch-stamped scratch instead of a hash set.  The parallel
-    /// image engine probes every operand against its fan-out floor with
-    /// this — small operands (the common case in the subset solvers) cost
-    /// one short traversal and no allocation.
-    [[nodiscard]] bool dag_size_at_least(const bdd& f, std::size_t n);
     /// Number of satisfying assignments over `nvars` variables.
     [[nodiscard]] double sat_count(const bdd& f, std::uint32_t nvars);
     /// Evaluate under a full assignment indexed by variable id.
@@ -419,10 +412,6 @@ public:
 
 private:
     friend class bdd;
-    // Cross-manager DAG copy (src/bdd/transfer.cpp) — the one sanctioned
-    // way a function crosses managers.  It needs the raw edge accessors and
-    // mk(); everything else goes through the public surface.
-    friend class bdd_transfer_access;
 
     // ---- checked-build provenance guards (LEQ_CHECKED) -------------------
     // The one-manager-per-thread rule and the no-cross-manager-handles rule
@@ -665,12 +654,6 @@ private:
     bdd_stats stats_;
     std::vector<char> mark_; ///< scratch for GC / traversals
     std::vector<std::uint32_t> gc_worklist_; ///< reused GC mark worklist
-    /// Epoch-stamped visited marks + DFS stack for dag_size_at_least: the
-    /// probe runs on every parallel-image operand, so it reuses these
-    /// instead of building a hash set per call.
-    std::vector<std::uint32_t> size_probe_stamp_;
-    std::vector<std::uint32_t> size_probe_stack_;
-    std::uint32_t size_probe_epoch_ = 0;
 
     // live only during a reordering call
     std::vector<std::uint32_t> rc_;                    ///< internal ref counts

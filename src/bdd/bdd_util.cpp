@@ -89,34 +89,6 @@ std::size_t bdd_manager::dag_size(const bdd& f) {
     return seen.size();
 }
 
-bool bdd_manager::dag_size_at_least(const bdd& f, std::size_t n) {
-    checked_guard("dag_size_at_least", f);
-    assert(f.manager() == this);
-    if (n <= 1) { return true; } // the terminal alone reaches size 1
-    if (size_probe_stamp_.size() < nodes_.size()) {
-        size_probe_stamp_.resize(nodes_.size(), 0);
-    }
-    if (++size_probe_epoch_ == 0) {
-        // stamp wrap: stale marks from 2^32 probes ago become ambiguous
-        std::fill(size_probe_stamp_.begin(), size_probe_stamp_.end(), 0);
-        size_probe_epoch_ = 1;
-    }
-    std::size_t count = 0;
-    size_probe_stack_.clear();
-    size_probe_stack_.push_back(node_of(f.index()));
-    while (!size_probe_stack_.empty()) {
-        const std::uint32_t idx = size_probe_stack_.back();
-        size_probe_stack_.pop_back();
-        if (size_probe_stamp_[idx] == size_probe_epoch_) { continue; }
-        size_probe_stamp_[idx] = size_probe_epoch_;
-        if (++count >= n) { return true; }
-        if (idx == 0) { continue; } // the terminal has no children
-        size_probe_stack_.push_back(node_of(nodes_[idx].lo));
-        size_probe_stack_.push_back(node_of(nodes_[idx].hi));
-    }
-    return false;
-}
-
 double bdd_manager::sat_count(const bdd& f, std::uint32_t nvars) {
     checked_guard("sat_count", f);
     assert(f.manager() == this);

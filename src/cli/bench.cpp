@@ -13,7 +13,6 @@
 #include "eq/solver.hpp"
 #include "gen/scenario.hpp"
 #include "img/image.hpp"
-#include "img/parallel.hpp"
 #include "net/blif.hpp"
 #include "net/generator.hpp"
 #include "net/latch_split.hpp"
@@ -23,7 +22,6 @@
 #include <chrono>
 #include <cmath>
 #include <map>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -103,28 +101,15 @@ image_options strategy_options(reach_strategy strategy) {
     return img;
 }
 
-/// The `parallel/*` rows vary only the image engine: "before" is the
-/// sequential path, "after" the `--solve-jobs 4` pool.  The deterministic
-/// counters (reach/subset states, images, parallel chunk and transfer
-/// totals) are gated; the wall-clock speedup is the info-only payoff.
-image_options parallel_options(std::size_t jobs) {
-    image_options img;
-    img.solve_jobs = jobs;
-    return img;
-}
-
 /// Solve one scaled gen/ scenario with the partitioned flow.
 bench_row run_solve_scenario(const std::string& id, scenario_family family,
                              std::uint32_t seed, std::uint32_t scale,
-                             const bdd_manager_options& mem,
-                             const image_options& img = {}) {
+                             const bdd_manager_options& mem) {
     bench_row row;
     row.workload = id;
     const scenario s = make_scenario(family, seed, scale);
     const equation_problem problem(s.fixed, s.spec, s.num_choice_inputs, mem);
-    solve_options options;
-    options.img = img;
-    const solve_result result = solve_partitioned(problem, options);
+    const solve_result result = solve_partitioned(problem);
     if (result.status != solve_status::ok) {
         throw std::runtime_error("bench workload " + id + " gave up");
     }
@@ -132,16 +117,6 @@ bench_row run_solve_scenario(const std::string& id, scenario_family family,
         static_cast<double>(result.subset_states_explored));
     add(row, "csf_states", static_cast<double>(result.csf_states));
     add(row, "images", static_cast<double>(result.stats.images));
-    if (img.strategy == reach_strategy::saturation) {
-        add(row, "saturation_fires",
-            static_cast<double>(result.stats.saturation_fires));
-    }
-    if (img.solve_jobs > 0) {
-        add(row, "parallel_chunks",
-            static_cast<double>(result.stats.parallel_chunks));
-        add(row, "transfer_nodes",
-            static_cast<double>(result.stats.transfer_nodes));
-    }
     add_manager_metrics(row, problem.mgr());
     return row;
 }
@@ -175,13 +150,10 @@ network reach_circuit() {
     return make_structured_mix(spec);
 }
 
-/// Frontier-heavy mix for the parallel rows: this seed's frontier wave
-/// peaks around 17k nodes — four consecutive BFS layers clear the image
-/// engine's 8192-node dispatch floor — so the "after" row genuinely
-/// drives chunk splitting and cross-manager transfer.  The reach_circuit
-/// wave above tops out near 4k nodes and would stay entirely on the
-/// sequential fallback.
-network parallel_reach_circuit() {
+/// Wide-frontier mix: this seed's frontier wave peaks around 17k nodes
+/// over a few consecutive BFS layers, about four times the reach_circuit
+/// peak, so the row pins the fixpoint on much larger image operands.
+network wide_frontier_circuit() {
     structured_spec spec;
     spec.num_inputs = 4;
     spec.num_outputs = 5;
@@ -230,17 +202,8 @@ bench_row run_reach(const std::string& id, const network& net,
     }
     const net_bdds fns = build_net_bdds(mgr, net, in, cs);
     const bdd init = state_cube(mgr, cs, net.initial_state());
-    // the prebuilt-relation path does not spawn an image pool itself (see
-    // reachable_states_layered); wire one here when the row asks for it,
-    // declared before the relation so it outlives the forget() callback
-    image_options local = img;
-    std::unique_ptr<image_pool> pool;
-    if (local.solve_jobs > 0 && local.executor == nullptr) {
-        pool = std::make_unique<image_pool>(local.solve_jobs);
-        local.executor = pool.get();
-    }
     transition_relation relation = transition_relation::next_state(
-        mgr, fns.next_state, cs, ns, in, local);
+        mgr, fns.next_state, cs, ns, in, img);
     relation.rename_image_to_current();
     const reach_info info = reachable_states_layered(
         relation, init, static_cast<std::uint32_t>(cs.size()));
@@ -250,12 +213,6 @@ bench_row run_reach(const std::string& id, const network& net,
     if (img.strategy == reach_strategy::saturation) {
         add(row, "saturation_fires",
             static_cast<double>(relation.stats().saturation_fires));
-    }
-    if (img.solve_jobs > 0) {
-        add(row, "parallel_chunks",
-            static_cast<double>(relation.stats().parallel_chunks));
-        add(row, "transfer_nodes",
-            static_cast<double>(relation.stats().transfer_nodes));
     }
     add_manager_metrics(row, mgr);
     return row;
@@ -365,11 +322,6 @@ metric_policy bench_metric_policy(const std::string& name) {
     if (name == "saturation_fires") {
         return {metric_direction::exact, 0.0, 0.0};
     }
-    // deterministic parallel-engine counters: identical for every
-    // --solve-jobs N by construction, so any drift is an engine change
-    if (name == "parallel_chunks" || name == "transfer_nodes") {
-        return {metric_direction::exact, 0.0, 0.0};
-    }
     if (name == "gc_runs") { return {metric_direction::up_bad, 0.10, 2.0}; }
     if (name == "allocated_nodes") {
         return {metric_direction::up_bad, 0.10, 4096.0};
@@ -392,9 +344,7 @@ std::vector<std::string> bench_workload_names() {
         "reach/mix26",
         "batch/families",
         "cachefix/reach_mix26/before",
-        "cachefix/reach_mix26/after",
         "cachefix/solve_counter_x256/before",
-        "cachefix/solve_counter_x256/after",
         "cacheways/reach_mix26/before",
         "cacheways/reach_mix26/after",
         "cacheways/solve_counter_x256/before",
@@ -407,12 +357,7 @@ std::vector<std::string> bench_workload_names() {
         "saturation/reach_chain/after",
         "saturation/reach_lfsr14/before",
         "saturation/reach_lfsr14/after",
-        "saturation/solve_counter_x256/before",
-        "saturation/solve_counter_x256/after",
-        "parallel/reach_mix26/before",
-        "parallel/reach_mix26/after",
-        "parallel/solve_counter_x256/before",
-        "parallel/solve_counter_x256/after",
+        "reach/wide_frontier",
     };
 }
 
@@ -438,16 +383,9 @@ bench_row run_bench_workload(const std::string& workload) {
     if (workload == "cachefix/reach_mix26/before") {
         return run_reach(workload, reach_circuit(), before_options(18));
     }
-    if (workload == "cachefix/reach_mix26/after") {
-        return run_reach(workload, reach_circuit(), bdd_manager_options{});
-    }
     if (workload == "cachefix/solve_counter_x256/before") {
         return run_solve_scenario(workload, scenario_family::counter, 3, 256,
                                   before_options(22));
-    }
-    if (workload == "cachefix/solve_counter_x256/after") {
-        return run_solve_scenario(workload, scenario_family::counter, 3, 256,
-                                  problem_manager_defaults());
     }
     // associativity story: identical pinned cache budget, the historical
     // clear-on-GC single-slot geometry versus the default 4-way aged bucket
@@ -497,39 +435,9 @@ bench_row run_bench_workload(const std::string& workload) {
         return run_reach(workload, lfsr_circuit(), bdd_manager_options{},
                          strategy_options(reach_strategy::saturation));
     }
-    if (workload == "saturation/solve_counter_x256/before") {
-        return run_solve_scenario(workload, scenario_family::counter, 3, 256,
-                                  problem_manager_defaults(),
-                                  strategy_options(reach_strategy::bfs));
-    }
-    if (workload == "saturation/solve_counter_x256/after") {
-        return run_solve_scenario(
-            workload, scenario_family::counter, 3, 256,
-            problem_manager_defaults(),
-            strategy_options(reach_strategy::saturation));
-    }
-    // parallel story: same workload and memory discipline, sequential
-    // image engine versus the four-worker pool (counters must not move —
-    // the engine is deterministic — only the wall clock may)
-    if (workload == "parallel/reach_mix26/before") {
-        return run_reach(workload, parallel_reach_circuit(),
+    if (workload == "reach/wide_frontier") {
+        return run_reach(workload, wide_frontier_circuit(),
                          bdd_manager_options{});
-    }
-    if (workload == "parallel/reach_mix26/after") {
-        return run_reach(workload, parallel_reach_circuit(),
-                         bdd_manager_options{}, parallel_options(4));
-    }
-    // the solve rows pin the cooperative fallback: subset-construction
-    // images sit under the operand-size floor, so the pool must cost
-    // (almost) nothing and change no solver counter
-    if (workload == "parallel/solve_counter_x256/before") {
-        return run_solve_scenario(workload, scenario_family::counter, 3, 256,
-                                  problem_manager_defaults());
-    }
-    if (workload == "parallel/solve_counter_x256/after") {
-        return run_solve_scenario(workload, scenario_family::counter, 3, 256,
-                                  problem_manager_defaults(),
-                                  parallel_options(4));
     }
     throw std::invalid_argument("unknown bench workload '" + workload + "'");
 }

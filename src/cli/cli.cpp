@@ -55,9 +55,6 @@ int usage(std::ostream& err) {
         << "                   (default 16384)\n"
         << "  --cache-ways W      computed-cache associativity, power of two\n"
         << "                   in 1..16 (default 4; 1 = direct-mapped)\n"
-        << "  --solve-jobs N      image-pool worker threads inside ONE solve\n"
-        << "                   (default: off = sequential engine); results\n"
-        << "                   are byte-identical for every N >= 1\n"
         << "  --choice-inputs N   trailing F inputs are choice inputs w\n"
         << "  --name NAME         job label in the JSON record\n"
         << "  --timing | --no-timing   include wall-clock fields (default:\n"
@@ -234,16 +231,6 @@ int parse_flags(const std::vector<std::string>& args, parsed_args& parsed,
                 return 2;
             }
             parsed.config.solve.mem.cache_ways = static_cast<unsigned>(ways);
-        } else if (arg == "--solve-jobs") {
-            std::size_t jobs = 0;
-            if (!numeric("--solve-jobs", jobs)) { return 2; }
-            if (jobs == 0) {
-                // 0 would silently mean "sequential", masking typos; the
-                // sequential engine is simply the absence of the flag
-                err << "leq: --solve-jobs must be at least 1\n";
-                return 2;
-            }
-            parsed.config.solve.img.solve_jobs = jobs;
         } else if (arg == "--choice-inputs") {
             if (!numeric("--choice-inputs", parsed.config.choice_inputs)) {
                 return 2;

@@ -189,7 +189,6 @@ std::string record_to_json(const solve_record& record,
         opts.field("gc_threshold", config.solve.mem.gc_threshold);
         opts.field("cache_ways",
                    static_cast<std::size_t>(config.solve.mem.cache_ways));
-        opts.field("solve_jobs", img.solve_jobs);
         obj.field_raw("options", opts.str());
     }
     if (record.completed) {
@@ -205,12 +204,6 @@ std::string record_to_json(const solve_record& record,
         }
         if (config.solve.img.collect_stats) {
             stats.field("peak_intermediate", s.peak_intermediate);
-        }
-        if (config.solve.img.solve_jobs > 0) {
-            // deterministic parallel-engine counters: identical for every
-            // --solve-jobs N, so they are safe to diff across runs
-            stats.field("parallel_chunks", s.parallel_chunks);
-            stats.field("transfer_nodes", s.transfer_nodes);
         }
         stats.field("live_nodes", s.live_nodes_after);
         stats.field("cache_lookups", s.cache_lookups);

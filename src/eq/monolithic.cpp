@@ -20,9 +20,6 @@
 
 #include "eq/solver.hpp"
 #include "eq/subset_common.hpp"
-#include "img/parallel.hpp"
-
-#include <memory>
 
 namespace leq {
 
@@ -30,14 +27,7 @@ solve_result solve_monolithic(const equation_problem& problem,
                               const solve_options& options) {
     const auto start = std::chrono::steady_clock::now();
     bdd_manager& mgr = problem.mgr();
-    solve_options local = detail::with_deadline(options);
-    // --solve-jobs N: one pool for the whole solve, declared before the
-    // try block so it outlives every relation (their dtors call forget())
-    std::unique_ptr<image_pool> pool;
-    if (local.img.solve_jobs > 0 && local.img.executor == nullptr) {
-        pool = std::make_unique<image_pool>(local.img.solve_jobs);
-        local.img.executor = pool.get();
-    }
+    const solve_options local = detail::with_deadline(options);
 
     try {
         // ---- monolithic relations -------------------------------------------

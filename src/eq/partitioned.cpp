@@ -25,9 +25,6 @@
 
 #include "eq/solver.hpp"
 #include "eq/subset_common.hpp"
-#include "img/parallel.hpp"
-
-#include <memory>
 
 namespace leq {
 
@@ -38,15 +35,7 @@ solve_result solve_partitioned(const equation_problem& problem,
     // arm the relation-layer deadline so a deep image chain inside one
     // subset expansion respects the solver time limit (the driver only
     // checks between expansions)
-    solve_options local = detail::with_deadline(options);
-    // --solve-jobs N: spawn the image pool for this solve.  Declared
-    // before the try block so it outlives every relation built below —
-    // relation destructors call back into the pool (forget()).
-    std::unique_ptr<image_pool> pool;
-    if (local.img.solve_jobs > 0 && local.img.executor == nullptr) {
-        pool = std::make_unique<image_pool>(local.img.solve_jobs);
-        local.img.executor = pool.get();
-    }
+    const solve_options local = detail::with_deadline(options);
 
     try {
         // relation parts shared by both images: u_m == U_m(i, v, cs_F)

@@ -81,13 +81,6 @@ struct solve_stats {
     /// inside a saturation fixpoint that discovered new states
     /// (`relation_stats::saturation_fires`); 0 under every other strategy.
     std::size_t saturation_fires = 0;
-    /// Parallel-image counters across all relations (`--solve-jobs N`;
-    /// both 0 on the sequential path).  `parallel_chunks` counts frontier
-    /// chunks dispatched to the image pool, `transfer_nodes` the
-    /// nonterminal nodes crossing managers for those dispatches.
-    /// Deterministic and identical for every N >= 1.
-    std::size_t parallel_chunks = 0;
-    std::size_t transfer_nodes = 0;
     /// Largest partial product seen in any chain (DAG nodes).  Only tracked
     /// when `image_options::collect_stats` is set — it costs one DAG
     /// traversal per chain step.

@@ -39,8 +39,6 @@ void accumulate_stats(solve_stats& stats, const transition_relation& rel) {
     stats.peak_intermediate =
         std::max(stats.peak_intermediate, r.peak_intermediate);
     stats.saturation_fires += r.saturation_fires;
-    stats.parallel_chunks += r.parallel_chunks;
-    stats.transfer_nodes += r.transfer_nodes;
 }
 
 void read_manager_stats(solve_stats& stats, bdd_manager& mgr) {

@@ -19,7 +19,6 @@ std::string describe(const image_options& o) {
     std::ostringstream text;
     text << to_string(o.strategy) << "/" << to_string(o.policy) << "/limit"
          << o.cluster_limit << (o.early_quantification ? "/early" : "/naive");
-    if (o.solve_jobs > 0) { text << "/jobs" << o.solve_jobs; }
     if (o.fault_suppress_var != image_options::no_fault) {
         text << "/FAULT@" << o.fault_suppress_var;
     }
@@ -219,10 +218,6 @@ std::vector<image_options> default_option_matrix() {
     matrix[5].strategy = reach_strategy::saturation;
     matrix[5].policy = cluster_policy::affinity;
     matrix[5].cluster_limit = 600;
-    // parallel image engine at default options: must agree byte-for-byte
-    // with matrix[0] (the sequential reference)
-    matrix.emplace_back();
-    matrix.back().solve_jobs = 2;
     return matrix;
 }
 

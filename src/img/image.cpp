@@ -4,31 +4,13 @@
 
 #include "img/image.hpp"
 
-#include "img/parallel.hpp"
-
 #include <algorithm>
 #include <cassert>
-#include <memory>
 #include <stdexcept>
 
 namespace leq {
 
 namespace {
-
-/// The vector-based entry points own their relation, so they also own the
-/// pool when the caller asked for parallel images but supplied no
-/// executor (`solve_jobs > 0`, `executor == nullptr`).  Returns the pool
-/// to keep alive (it must outlive the relation) and patches `options` to
-/// point at it; no-op when the caller already wired an executor or asked
-/// for the sequential path.
-std::unique_ptr<image_pool> maybe_spawn_pool(image_options& options) {
-    if (options.solve_jobs == 0 || options.executor != nullptr) {
-        return nullptr;
-    }
-    auto pool = std::make_unique<image_pool>(options.solve_jobs);
-    options.executor = pool.get();
-    return pool;
-}
 
 /// Saturation fixpoint: Ciardo-style locality-driven exploration, adapted so
 /// it stays exact for synchronous conjunctive relations.  Firing a cluster
@@ -179,10 +161,8 @@ bdd reachable_states(bdd_manager& mgr, const std::vector<bdd>& next_state,
                      const std::vector<std::uint32_t>& ns_vars,
                      const std::vector<std::uint32_t>& input_vars,
                      const bdd& init, const image_options& options) {
-    image_options local = options;
-    const std::unique_ptr<image_pool> pool = maybe_spawn_pool(local);
     const transition_relation relation = next_state_relation(
-        mgr, next_state, cs_vars, ns_vars, input_vars, local);
+        mgr, next_state, cs_vars, ns_vars, input_vars, options);
     return reach_fixpoint(relation, init,
                           static_cast<std::uint32_t>(cs_vars.size()),
                           /*layered=*/false)
@@ -196,10 +176,8 @@ reach_info reachable_states_layered(bdd_manager& mgr,
                                     const std::vector<std::uint32_t>& input_vars,
                                     const bdd& init,
                                     const image_options& options) {
-    image_options local = options;
-    const std::unique_ptr<image_pool> pool = maybe_spawn_pool(local);
     const transition_relation relation = next_state_relation(
-        mgr, next_state, cs_vars, ns_vars, input_vars, local);
+        mgr, next_state, cs_vars, ns_vars, input_vars, options);
     return reach_fixpoint(relation, init,
                           static_cast<std::uint32_t>(cs_vars.size()),
                           /*layered=*/true);

@@ -1,14 +1,13 @@
 /// \file image.hpp
-/// \brief Partitioned image computation with early quantification — a thin
-/// wrapper over the shared transition-relation subsystem in `src/rel/`.
+/// \brief Reachability fixpoints over the shared transition-relation
+/// subsystem in `src/rel/`.
 ///
 /// The paper reformulates every language-equation operation as an image
 /// computation over partitioned relations (Section 3.2) precisely so that a
 /// decade of image-computation research applies.  The machinery itself —
 /// partition clustering (greedy/affinity policies), per-cluster
 /// quantification schedules, image/preimage execution and statistics — lives
-/// in `rel/relation.hpp` (`transition_relation`); this header keeps the
-/// historical image-engine API and the reachability fixpoints on top of it:
+/// in `rel/relation.hpp` (`transition_relation`), which computes
 ///
 ///     Img(y) = exists x . p_1 & p_2 & ... & p_n & from(x)
 ///
@@ -18,8 +17,8 @@
 /// benchmark.  `image_options` / `reach_strategy` are defined by the
 /// relation layer and re-exported here; see rel/relation.hpp for the full
 /// option semantics (deadline behavior included) and the
-/// one-manager-per-thread confinement rule, which applies to the engine
-/// and the fixpoints below unchanged.
+/// one-manager-per-thread confinement rule, which applies to the
+/// fixpoints below unchanged.
 #pragma once
 
 #include "rel/relation.hpp"
@@ -28,39 +27,6 @@
 #include <vector>
 
 namespace leq {
-
-/// Precomputed quantification schedule over a fixed set of relation parts.
-/// Reusable across many image calls (the subset construction calls it once
-/// per subset state).  Thin wrapper over `transition_relation`.
-class image_engine {
-public:
-    /// \param parts relation conjuncts
-    /// \param quantify variables to existentially quantify (typically the
-    ///        inputs i and current-state variables cs)
-    image_engine(bdd_manager& mgr, std::vector<bdd> parts,
-                 std::vector<std::uint32_t> quantify,
-                 const image_options& options = {})
-        : relation_(mgr, std::move(parts), std::move(quantify), options) {}
-
-    /// Image of `from` (a function over a subset of the quantified and free
-    /// variables) under the conjunction of all parts.
-    [[nodiscard]] bdd image(const bdd& from) const {
-        return relation_.image(from);
-    }
-
-    /// Number of clusters after scheduling (diagnostics).
-    [[nodiscard]] std::size_t num_clusters() const {
-        return relation_.num_clusters();
-    }
-
-    /// The underlying relation (schedule inspection, statistics).
-    [[nodiscard]] const transition_relation& relation() const {
-        return relation_;
-    }
-
-private:
-    transition_relation relation_;
-};
 
 /// Symbolic forward reachability over partitioned next-state functions.
 ///

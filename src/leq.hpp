@@ -14,7 +14,6 @@
 #pragma once
 
 #include "bdd/bdd.hpp"
-#include "bdd/transfer.hpp"
 
 #include "net/blif.hpp"
 #include "net/compose.hpp"
@@ -29,7 +28,6 @@
 #include "rel/schedule.hpp"
 
 #include "img/image.hpp"
-#include "img/parallel.hpp"
 
 #include "automata/automaton.hpp"
 #include "automata/automaton_io.hpp"

@@ -4,108 +4,9 @@
 
 #include "rel/relation.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace leq {
-
-namespace {
-
-/// Fixed chunk-count target for the parallel-image split.  A constant —
-/// never derived from the worker count — so the chunk set, the merge
-/// order, and every downstream counter are identical for all solve_jobs
-/// values; workers simply claim more or fewer chunks each.
-constexpr std::size_t parallel_chunk_target = 8;
-
-/// Operand-size floor for fanning an image out to the pool.  Below it the
-/// fixed dispatch cost (fork/join wakeups, chunk and result transfers,
-/// replica cache misses) dwarfs the imaging work, so the operand takes the
-/// sequential chain.  The subset solvers are the canonical case: tens of
-/// thousands of per-knowledge-state images whose operands run a few
-/// hundred to a couple thousand nodes but are each computed in under a
-/// millisecond off a warm cache — dispatching those is pure overhead at
-/// any worker count.  Only the reachability fixpoints' frontier/reached
-/// operands (tens of thousands of nodes) amortize a dispatch.  A property
-/// of the operand only, never of the worker count, so the dispatch
-/// pattern is identical for every solve_jobs N.
-constexpr std::size_t parallel_min_nodes = 8192;
-
-/// Cap on the floor-probe backoff interval.  Small on purpose: a BFS
-/// frontier wave can rise from a quarter of the floor to its peak and
-/// collapse again within a handful of steps, and a probe interval that
-/// kept doubling would sail right past it (a cap of 256 demonstrably
-/// skipped a 17k-node peak).  At 4, the steady-state probe cost on a
-/// subset solver's tens of thousands of sub-floor images is one bounded
-/// walk per four images — noise — while any wave that stays above the
-/// floor for at least four steps (the only kind wide enough to amortize a
-/// dispatch) is caught within three images of crossing.
-constexpr std::size_t probe_interval_max = 4;
-
-/// Split `set` into disjoint nonzero chunks by cofactoring on the
-/// schedule's event-locality anchors (root-most first), the same split
-/// the saturation strategy applies to its frontiers.  Merged schedules
-/// often expose only one or two distinct anchors — far short of the
-/// target — so once the anchors run out the splitter keeps cofactoring
-/// the largest remaining chunk at its own top variable.  Both phases
-/// depend only on `set` and the schedule, never on the worker count, so
-/// the chunk list is identical for every solve_jobs value.
-std::vector<bdd> split_at_anchors(bdd_manager& mgr, const bdd& set,
-                                  const quant_schedule& sched) {
-    std::vector<std::uint32_t> anchors;
-    for (const std::uint32_t top : sched.cluster_tops()) {
-        if (top == quant_schedule::no_top) { continue; }
-        if (std::find(anchors.begin(), anchors.end(), top) ==
-            anchors.end()) {
-            anchors.push_back(top);
-        }
-    }
-    std::sort(anchors.begin(), anchors.end(),
-              [&mgr](std::uint32_t a, std::uint32_t b) {
-                  return mgr.level_of(a) < mgr.level_of(b);
-              });
-    std::vector<bdd> chunks{set};
-    for (const std::uint32_t v : anchors) {
-        if (chunks.size() >= parallel_chunk_target) { break; }
-        std::vector<bdd> next;
-        next.reserve(chunks.size() * 2);
-        for (const bdd& chunk : chunks) {
-            bdd hi = chunk & mgr.var(v);
-            bdd lo = chunk & mgr.nvar(v);
-            if (!hi.is_zero()) { next.push_back(std::move(hi)); }
-            if (!lo.is_zero()) { next.push_back(std::move(lo)); }
-        }
-        chunks = std::move(next);
-    }
-    while (chunks.size() < parallel_chunk_target) {
-        // largest DAG first (ties: earliest chunk) — dag_size is a
-        // canonical-form property, so the pick is deterministic
-        std::size_t pick = chunks.size();
-        std::size_t pick_nodes = 0;
-        for (std::size_t k = 0; k < chunks.size(); ++k) {
-            if (chunks[k].is_const()) { continue; }
-            const std::size_t nodes = mgr.dag_size(chunks[k]);
-            if (nodes > pick_nodes) {
-                pick = k;
-                pick_nodes = nodes;
-            }
-        }
-        // only constant chunks left: nothing worth splitting further
-        if (pick == chunks.size() || pick_nodes <= 2) { break; }
-        const bdd victim = chunks[pick];
-        const std::uint32_t v = victim.top_var();
-        bdd hi = victim & mgr.var(v);
-        bdd lo = victim & mgr.nvar(v);
-        // a root-variable cofactor of a reduced BDD is never zero, but a
-        // complemented edge can still collapse one side to a constant
-        chunks[pick] = std::move(hi);
-        chunks.insert(chunks.begin() +
-                          static_cast<std::ptrdiff_t>(pick) + 1,
-                      std::move(lo));
-    }
-    return chunks;
-}
-
-} // namespace
 
 const char* to_string(reach_strategy strategy) {
     switch (strategy) {
@@ -173,19 +74,7 @@ transition_relation transition_relation::next_state(
                                options, cs_vars, ns_vars, input_vars);
 }
 
-transition_relation::~transition_relation() {
-    if (options_.executor != nullptr) {
-        // drop any replica state keyed on this relation's address before
-        // the address can be reused; executors make this non-throwing, the
-        // guard is belt-and-braces for the dtor-noexcept contract
-        try {
-            options_.executor->forget(*this);
-        } catch (...) {} // NOLINT(bugprone-empty-catch)
-    }
-}
-
 void transition_relation::build(const std::vector<std::uint32_t>& quantify) {
-    img_quantify_ = quantify;
     if (!options_.early_quantification) {
         // naive/monolithic mode (ablation baseline): one big conjunction,
         // every variable quantified at the end
@@ -207,12 +96,8 @@ void transition_relation::build(const std::vector<std::uint32_t>& quantify) {
 
 bdd transition_relation::image(const bdd& from) const {
     ++stats_.images;
-    bdd result =
-        options_.executor != nullptr && options_.solve_jobs > 0
-            ? parallel_apply(image_schedule_, from, false)
-            : image_schedule_.apply(from, options_.deadline,
-                                    options_.collect_stats ? &stats_
-                                                           : nullptr);
+    bdd result = image_schedule_.apply(
+        from, options_.deadline, options_.collect_stats ? &stats_ : nullptr);
     if (options_.fault_suppress_var != image_options::no_fault) {
         result &= mgr_->literal(options_.fault_suppress_var, false);
     }
@@ -223,10 +108,6 @@ bdd transition_relation::image(const bdd& from) const {
 }
 
 bdd transition_relation::image(const bdd& from, const bdd& constraint) const {
-    // Deliberately sequential even under an executor: the constrained form
-    // serves the verification walkers' one-off per-transition queries, not
-    // the fixpoint hot path, and fusing the constraint into per-chunk
-    // dispatches would change the cache-visible operation mix.
     ++stats_.images;
     bdd result = image_schedule_.apply(
         from, &constraint, options_.deadline,
@@ -240,7 +121,7 @@ bdd transition_relation::image(const bdd& from, const bdd& constraint) const {
     return result;
 }
 
-const quant_schedule& transition_relation::preimage_schedule() const {
+bdd transition_relation::preimage(const bdd& to) const {
     if (!structured_) {
         throw std::logic_error(
             "transition_relation::preimage: relation has no cs/ns structure "
@@ -251,11 +132,6 @@ const quant_schedule& transition_relation::preimage_schedule() const {
             *mgr_, clusters_, pre_quantify_,
             options_.strategy == reach_strategy::chaining);
     }
-    return *preimage_schedule_;
-}
-
-bdd transition_relation::preimage(const bdd& to) const {
-    const quant_schedule& sched = preimage_schedule();
     ++stats_.preimages;
     bdd to_ns = mgr_->permute(to, cs_ns_swap_);
     if (options_.fault_suppress_var != image_options::no_fault) {
@@ -263,46 +139,9 @@ bdd transition_relation::preimage(const bdd& to) const {
         // silently vanish, so their predecessors drop out of the preimage
         to_ns &= mgr_->literal(options_.fault_suppress_var, false);
     }
-    return options_.executor != nullptr && options_.solve_jobs > 0
-               ? parallel_apply(sched, to_ns, true)
-               : sched.apply(to_ns, options_.deadline,
-                             options_.collect_stats ? &stats_ : nullptr);
-}
-
-bdd transition_relation::parallel_apply(const quant_schedule& sched,
-                                        const bdd& set,
-                                        bool preimage) const {
-    if (probe_countdown_ > 0) {
-        // backed off: recent operands all sat under the floor, skip even
-        // the probe (see the member comment for the determinism argument)
-        --probe_countdown_;
-        return sched.apply(set, options_.deadline,
-                           options_.collect_stats ? &stats_ : nullptr);
-    }
-    if (!mgr_->dag_size_at_least(set, parallel_min_nodes)) {
-        probe_interval_ = std::min(probe_interval_ * 2, probe_interval_max);
-        probe_countdown_ = probe_interval_ - 1;
-        return sched.apply(set, options_.deadline,
-                           options_.collect_stats ? &stats_ : nullptr);
-    }
-    probe_interval_ = 1;
-    const std::vector<bdd> chunks = split_at_anchors(*mgr_, set, sched);
-    if (chunks.size() <= 1) {
-        // nothing to fan out (constant set, or no splittable structure):
-        // run the plain sequential chain — same code path every N takes
-        return sched.apply(set, options_.deadline,
-                           options_.collect_stats ? &stats_ : nullptr);
-    }
-    stats_.parallel_chunks += chunks.size();
-    const std::vector<bdd> images =
-        options_.executor->map_images(*this, chunks, preimage);
-    // fixed deterministic merge: OR in chunk order on the owner thread
-    bdd result = mgr_->zero();
-    for (const bdd& img : images) {
-        throw_if_past(options_.deadline);
-        result |= img;
-    }
-    return result;
+    return preimage_schedule_->apply(
+        to_ns, options_.deadline,
+        options_.collect_stats ? &stats_ : nullptr);
 }
 
 } // namespace leq

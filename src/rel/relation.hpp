@@ -7,9 +7,10 @@
 /// parts, their variable-support metadata, the merged clusters (greedy or
 /// affinity policy, see rel/cluster.hpp) and a per-cluster quantification
 /// schedule (rel/schedule.hpp), and serves `image(from)` / `preimage(to)`
-/// with per-call statistics.  Every relation consumer — the image engine,
-/// both solver flows, verification and diagnosis — routes its conjunction
-/// chains through this layer instead of hand-rolling and_exists loops.
+/// with per-call statistics.  Every relation consumer — the reachability
+/// fixpoints, both solver flows, verification and diagnosis — routes its
+/// conjunction chains through this layer instead of hand-rolling
+/// and_exists loops.
 ///
 /// Ownership and thread-safety: a `transition_relation` borrows the
 /// manager passed at construction and holds BDD handles into it — the
@@ -70,38 +71,8 @@ inline constexpr reach_strategy all_reach_strategies[] = {
     reach_strategy::bfs, reach_strategy::frontier, reach_strategy::chaining,
     reach_strategy::saturation};
 
-class transition_relation;
-
-/// The work-pool seam for task-parallel images.  The relation layer only
-/// knows this abstract shape: given disjoint frontier chunks (handles in
-/// the relation's own manager), compute the image (or preimage) of each
-/// chunk and return the results *in chunk order* — handles in the
-/// relation's manager again, however the executor produced them.  The one
-/// implementation is `image_pool` (src/img/parallel.hpp), whose workers
-/// own replica managers and move functions across with `bdd_transfer`;
-/// keeping the interface here and the threads there preserves the layer
-/// DAG (rel must not depend on img) and the `.leq_lint` concurrency
-/// confinement.
-///
-/// Contract: `map_images` is called on the relation's owner thread and
-/// must not return until every chunk is done (fork/join — the caller's
-/// manager must be quiescent while workers read it).  On a blown deadline
-/// it throws `relation_deadline_exceeded` after all workers have stopped.
-/// `forget(relation)` drops any per-relation replica state; the relation's
-/// destructor calls it, so executors keying caches on the relation's
-/// address never see a stale pointer reused.
-class parallel_image_executor {
-public:
-    virtual ~parallel_image_executor() = default;
-    [[nodiscard]] virtual std::vector<bdd>
-    map_images(const transition_relation& relation,
-               const std::vector<bdd>& chunks, bool preimage) = 0;
-    virtual void forget(const transition_relation& relation) = 0;
-};
-
-/// Options for the relation layer (and, unchanged in name, for the image
-/// engine wrapping it — `solve_options::img` plumbs this through both solver
-/// flows).
+/// Options for the relation layer (`solve_options::img` plumbs this through
+/// both solver flows).
 struct image_options {
     /// Quantify variables at their last occurrence instead of at the end.
     bool early_quantification = true;
@@ -118,9 +89,13 @@ struct image_options {
     /// `relation_deadline_exceeded` once it passes; the solvers set it from
     /// `solve_options::time_limit_seconds` (translating the throw into
     /// `solve_status::timeout`) so a deep fixpoint can no longer blow past
-    /// the solver timeout.  The check runs *between* BDD operations — a
-    /// single huge conjunction can still overshoot the deadline by the
-    /// length of that one operation.
+    /// the solver timeout.  Inside a quantification schedule the check
+    /// runs between chain steps and, through `op_deadline_guard`
+    /// (rel/schedule.cpp), inside each and_exists too, so one long
+    /// conjunction is interrupted from within.  Still checked only between
+    /// operations: `permute` (the cs/ns renaming) and work outside
+    /// schedules — cluster merging and the fixpoints' set unions and
+    /// differences — each of which can overshoot by one operation.
     relation_deadline deadline;
     /// Also track `relation_stats::peak_intermediate` (costs one DAG
     /// traversal per chain step; off on the hot path by default).
@@ -134,18 +109,6 @@ struct image_options {
     /// reduces them to minimal reproducers.  Never set on real workloads.
     static constexpr std::uint32_t no_fault = 0xffffffffu;
     std::uint32_t fault_suppress_var = no_fault;
-    /// Task-parallel image workers (`leq --solve-jobs N`).  0 = the plain
-    /// sequential path.  N >= 1 routes every image()/preimage() through
-    /// `executor` (the solvers and the image engine create an `image_pool`
-    /// and point this at it): the frontier is split into a fixed,
-    /// N-independent set of chunks at the schedule's event-locality
-    /// anchors, workers image disjoint chunks on replica managers, and the
-    /// results are merged in chunk order — so the result (and every
-    /// manager counter) is byte-identical for every N, including N == 1.
-    std::size_t solve_jobs = 0;
-    /// Borrowed, never owned: whoever sets it keeps it alive for the
-    /// lifetime of every relation built with these options.
-    parallel_image_executor* executor = nullptr;
 };
 
 /// A conjunctively partitioned relation with a quantification schedule.
@@ -222,38 +185,6 @@ public:
     /// (`relation_stats::saturation_fires`); like image(), counting mutates
     /// only the per-call statistics.
     void record_saturation_fire() const { ++stats_.saturation_fires; }
-    /// Parallel-image bookkeeping: the executor reports the nonterminal
-    /// nodes it moved across managers for this relation's dispatches
-    /// (chunks out + results back — replica setup is excluded, it depends
-    /// on the worker count).
-    void record_transfer_nodes(std::size_t n) const {
-        stats_.transfer_nodes += n;
-    }
-
-    // ---- executor-facing surface (parallel_image_executor) ---------------
-    /// The scheduled clusters (image order).  Workers rebuild a replica
-    /// relation from these parts with clustering disabled, so the replica's
-    /// schedule — and therefore its image results — matches this one's.
-    [[nodiscard]] const std::vector<bdd>& cluster_bdds() const {
-        return clusters_;
-    }
-    /// Variables image() quantifies (the ctor's `quantify`, verbatim).
-    [[nodiscard]] const std::vector<std::uint32_t>& image_quantify() const {
-        return img_quantify_;
-    }
-    /// Variables preimage() quantifies (structured relations: inputs + ns).
-    [[nodiscard]] const std::vector<std::uint32_t>&
-    preimage_quantify() const {
-        return pre_quantify_;
-    }
-    /// The lazily built preimage schedule, forced now (structured only).
-    [[nodiscard]] const quant_schedule& preimage_schedule() const;
-
-    ~transition_relation();
-    transition_relation(const transition_relation&) = default;
-    transition_relation(transition_relation&&) = default;
-    transition_relation& operator=(const transition_relation&) = default;
-    transition_relation& operator=(transition_relation&&) = default;
 
 private:
     transition_relation(bdd_manager& mgr, std::vector<bdd> parts,
@@ -263,13 +194,6 @@ private:
                         const std::vector<std::uint32_t>& ns_vars,
                         const std::vector<std::uint32_t>& input_vars);
     void build(const std::vector<std::uint32_t>& quantify);
-    /// Route one image/preimage application through the executor: split
-    /// `set` into chunks at the relevant schedule's event-locality anchors,
-    /// dispatch, OR-merge in chunk order.  Falls back to a plain
-    /// `sched.apply` when the set does not split.  Fault injection and the
-    /// result renaming stay with the caller.
-    [[nodiscard]] bdd parallel_apply(const quant_schedule& sched,
-                                     const bdd& set, bool preimage) const;
 
     bdd_manager* mgr_;
     std::vector<bdd> parts_;
@@ -279,22 +203,10 @@ private:
     bool structured_ = false; ///< built via next_state (cs/ns pairing known)
     /// Built lazily by preimage() over the same clusters (structured only).
     mutable std::optional<quant_schedule> preimage_schedule_;
-    std::vector<std::uint32_t> img_quantify_; ///< the ctor's quantify set
     std::vector<std::uint32_t> pre_quantify_; ///< inputs + ns (structured)
     std::vector<std::uint32_t> cs_ns_swap_;   ///< structured only
     std::vector<std::uint32_t> result_perm_;  ///< empty = identity
     mutable relation_stats stats_;
-    /// Fan-out floor probe backoff (parallel path only).  Probing every
-    /// operand against the floor costs a DAG walk; on relations that never
-    /// image anything large — the subset solvers issue tens of thousands
-    /// of warm-cache per-state images — that walk dominates.  Failed
-    /// probes double the interval to the next probe (capped), a crossing
-    /// resets it, and skipped applications take the sequential chain.
-    /// Both counters depend only on the operand sequence, never on the
-    /// worker count, so dispatch decisions stay identical for every
-    /// solve_jobs N.
-    mutable std::size_t probe_countdown_ = 0;
-    mutable std::size_t probe_interval_ = 1;
 };
 
 } // namespace leq

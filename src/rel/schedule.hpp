@@ -41,14 +41,6 @@ struct relation_stats {
     /// fixpoint that discovered at least one new state (counted by the
     /// fixpoint loop via `transition_relation::record_saturation_fire`).
     std::size_t saturation_fires = 0;
-    /// Parallel-image bookkeeping (solve_jobs > 0 only; see
-    /// parallel_image_executor in rel/relation.hpp).  `parallel_chunks` is
-    /// the number of frontier chunks dispatched to the image pool;
-    /// `transfer_nodes` the nonterminal nodes crossing managers for those
-    /// dispatches (chunks out + results back).  Both are deterministic:
-    /// the chunking is independent of the worker count.
-    std::size_t parallel_chunks = 0;
-    std::size_t transfer_nodes = 0;
 };
 
 /// An executable quantification schedule (order + per-cluster retire cubes).

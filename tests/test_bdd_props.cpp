@@ -3,12 +3,10 @@
 /// must hold for arbitrary functions, checked on seeded random instances.
 
 #include "bdd/bdd.hpp"
-#include "bdd/transfer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <random>
-#include <stdexcept>
 
 namespace leq {
 namespace {
@@ -143,21 +141,6 @@ TEST_P(bdd_props, pick_cube_satisfies) {
     EXPECT_FALSE(cube_of_f.is_zero());
 }
 
-TEST_P(bdd_props, dag_size_at_least_agrees_with_dag_size) {
-    // the early-exit probe must be exactly "dag_size(f) >= n" at every
-    // threshold around the true size, for plain and complemented handles,
-    // and repeated probes (epoch-stamped scratch) must not interfere
-    for (const bdd& x : {f, !f, f & g, mgr.one(), mgr.zero()}) {
-        const std::size_t size = mgr.dag_size(x);
-        for (const std::size_t n :
-             {std::size_t{0}, std::size_t{1}, size - 1, size, size + 1,
-              size * 2 + 3}) {
-            EXPECT_EQ(mgr.dag_size_at_least(x, n), size >= n)
-                << "size " << size << " n " << n;
-        }
-    }
-}
-
 TEST_P(bdd_props, permute_round_trip_and_composition) {
     std::vector<std::uint32_t> swap02(nvars);
     for (std::uint32_t v = 0; v < nvars; ++v) { swap02[v] = v; }
@@ -175,74 +158,6 @@ TEST_P(bdd_props, compose_inverts_expansion) {
     EXPECT_EQ(mgr.compose(f1, 4, g), f1); // x4 absent from f1
     // compose with the variable itself is the identity
     EXPECT_EQ(mgr.compose(f, 4, mgr.var(4)), f);
-}
-
-TEST_P(bdd_props, transfer_is_deterministic_and_memo_shares) {
-    // the cross-manager copy is a pure function of the source DAG: two
-    // transfers of the same function into the same destination return the
-    // identical handle, the per-call memo visits every distinct
-    // nonterminal exactly once (so the count equals dag_size minus the
-    // terminal), and a round trip restores the original handle
-    bdd_manager dst(nvars);
-    std::size_t first = 0, second = 0;
-    const bdd copy_a = bdd_transfer(mgr, f, dst, first);
-    const bdd copy_b = bdd_transfer(mgr, f, dst, second);
-    EXPECT_EQ(copy_a, copy_b);
-    EXPECT_EQ(first, second);
-    if (!f.is_const()) {
-        EXPECT_EQ(first, mgr.dag_size(f) - 1);
-        EXPECT_EQ(dst.dag_size(copy_a), mgr.dag_size(f));
-    } else {
-        EXPECT_EQ(first, 0u);
-    }
-    EXPECT_EQ(bdd_transfer(dst, copy_a, mgr), f);
-    EXPECT_DOUBLE_EQ(dst.sat_count(copy_a, nvars), mgr.sat_count(f, nvars));
-
-    // determinism across destinations: a second, fresh manager reports the
-    // same transfer count (the memo is keyed on source nodes only)
-    bdd_manager other(nvars);
-    std::size_t fresh = 0;
-    const bdd copy_c = bdd_transfer(mgr, f, other, fresh);
-    EXPECT_EQ(fresh, first);
-    EXPECT_EQ(other.dag_size(copy_c), dst.dag_size(copy_a));
-}
-
-TEST_P(bdd_props, transfer_preserves_structure_and_complement_edges) {
-    // complement handles transfer to complement handles (the root bit
-    // travels on the handle, never into the copied nodes), and boolean
-    // structure commutes with the copy: transfer(f) op transfer(g) ==
-    // transfer(f op g)
-    bdd_manager dst(nvars);
-    const bdd cf = bdd_transfer(mgr, f, dst);
-    const bdd cg = bdd_transfer(mgr, g, dst);
-    EXPECT_EQ(bdd_transfer(mgr, !f, dst), !cf);
-    EXPECT_EQ(bdd_transfer(mgr, f & g, dst), cf & cg);
-    EXPECT_EQ(bdd_transfer(mgr, f ^ g, dst), cf ^ cg);
-    EXPECT_EQ(bdd_transfer(mgr, mgr.exists(f, cube), dst),
-              dst.exists(cf, dst.cube({1, 3, 5})));
-}
-
-TEST(bdd_transfer_errors, rejects_foreign_handles_and_mismatched_shapes) {
-    bdd_manager a(4);
-    bdd_manager b(4);
-    bdd_manager narrow(3);
-    const bdd f = a.var(0) & !a.var(2);
-    EXPECT_THROW((void)bdd_transfer(b, f, a), std::invalid_argument);
-    EXPECT_THROW((void)bdd_transfer(a, f, narrow), std::invalid_argument);
-    // src == dst degenerates to a plain copy
-    EXPECT_EQ(bdd_transfer(a, f, a), f);
-    // constants transfer to the destination's constants
-    bdd_manager c(4);
-    EXPECT_EQ(bdd_transfer(a, a.one(), c), c.one());
-    EXPECT_EQ(bdd_transfer(a, a.zero(), c), c.zero());
-}
-
-TEST(bdd_transfer_errors, rejects_variable_order_mismatch) {
-    bdd_manager a(4);
-    bdd_manager b(4);
-    const bdd f = (a.var(0) & a.var(1)) | a.var(3);
-    b.reorder_to({3, 1, 2, 0});
-    EXPECT_THROW((void)bdd_transfer(a, f, b), std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(seeds, bdd_props, ::testing::Range(1u, 16u));

@@ -199,7 +199,8 @@ TEST(bench_workloads, ids_are_stable_and_unknown_ids_throw) {
     ASSERT_FALSE(names.empty());
     for (const char* expected :
          {"solve/counter_x256", "reach/mix26", "batch/families",
-          "cachefix/reach_mix26/before", "cachefix/reach_mix26/after",
+          "cachefix/reach_mix26/before",
+          "cachefix/solve_counter_x256/before",
           "cacheways/reach_mix26/before", "cacheways/reach_mix26/after",
           "cacheways/solve_counter_x256/before",
           "cacheways/solve_counter_x256/after",
@@ -208,8 +209,7 @@ TEST(bench_workloads, ids_are_stable_and_unknown_ids_throw) {
           "saturation/reach_mix26/before", "saturation/reach_mix26/after",
           "saturation/reach_chain/before", "saturation/reach_chain/after",
           "saturation/reach_lfsr14/before", "saturation/reach_lfsr14/after",
-          "saturation/solve_counter_x256/before",
-          "saturation/solve_counter_x256/after"}) {
+          "reach/wide_frontier"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), expected),
                   names.end())
             << expected;
@@ -306,9 +306,9 @@ TEST(bench_artifacts, checked_in_baseline_parses_and_pins_the_wins) {
         return m == nullptr ? 0.0 : m->value;
     };
 
-    // ...the cache-sizing before/after rows still show PR 7's win...
-    EXPECT_GT(rate("cachefix/reach_mix26/after"),
-              rate("cachefix/reach_mix26/before"))
+    // ...the historical cache sizing still loses to the default discipline
+    // on the same reach workload (the cache-sizing win)...
+    EXPECT_GT(rate("reach/mix26"), rate("cachefix/reach_mix26/before"))
         << "the baseline no longer demonstrates the cache-sizing win";
 
     // ...and the set-associative aged cache shows its own: at least a

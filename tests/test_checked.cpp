@@ -9,7 +9,6 @@
 /// would run to completion instead of dying — so the suite skips.
 
 #include "bdd/bdd.hpp"
-#include "bdd/transfer.hpp"
 
 #include <gtest/gtest.h>
 
@@ -17,13 +16,11 @@
 
 #include <cstring>
 #include <thread>
-#include <vector>
 
 namespace {
 
 using leq::bdd;
 using leq::bdd_manager;
-using leq::bdd_transfer;
 
 // death tests fork the process; "threadsafe" re-executes the binary so the
 // child is in a well-defined single-threaded state before we spawn threads
@@ -116,41 +113,6 @@ TEST_F(checked_death, handle_release_underflow_aborts_with_diagnostic) {
             }
         },
         "release underflow.*released twice");
-}
-
-TEST_F(checked_death, transferred_handle_is_legal_raw_reuse_still_aborts) {
-    // bdd_transfer is the one sanctioned way a function crosses managers:
-    // the copy must satisfy every provenance guard, while handing the raw
-    // source handle to the destination still dies exactly as before
-    bdd_manager src(4);
-    bdd_manager dst(4);
-    const bdd f = (src.var(0) & src.var(1)) | !src.var(2);
-    const bdd copy = bdd_transfer(src, f, dst);
-    EXPECT_TRUE((copy & dst.var(3)).valid());
-    dst.check_consistency();
-    EXPECT_DEATH((void)dst.apply_and(f, dst.var(3)),
-                 "cross-manager bdd handle.*apply_and");
-}
-
-TEST(checked_build, transfer_round_trip_preserves_truth_table) {
-    // complemented root, complemented internal edges, shared subgraph (g
-    // appears under both branches of h): the checked walk must accept the
-    // copy, the round trip must restore the exact handle, and every
-    // assignment must evaluate identically in both managers
-    bdd_manager src(4);
-    bdd_manager dst(4);
-    const bdd g = src.var(2) ^ src.var(3);
-    const bdd h = src.ite(src.var(0), g & src.var(1), !g);
-    const bdd f = !h;
-    const bdd copy = bdd_transfer(src, f, dst);
-    dst.check_consistency();
-    const bdd back = bdd_transfer(dst, copy, src);
-    EXPECT_EQ(back, f);
-    for (unsigned m = 0; m < 16; ++m) {
-        std::vector<bool> a(4);
-        for (unsigned b = 0; b < 4; ++b) { a[b] = ((m >> b) & 1) != 0; }
-        EXPECT_EQ(dst.eval(copy, a), src.eval(f, a)) << "assignment " << m;
-    }
 }
 
 TEST(checked_build, one_manager_per_thread_is_legal) {

@@ -79,7 +79,7 @@ TEST_P(reach_property, symbolic_reachability_matches_explicit_bfs) {
 INSTANTIATE_TEST_SUITE_P(circuit_families, reach_property,
                          ::testing::Range(0, 10));
 
-TEST(image_engine, early_and_naive_modes_agree) {
+TEST(partitioned_image, early_and_naive_modes_agree) {
     const network net = make_lfsr(6, {1, 3});
     bdd_manager mgr;
     auto [fns, vars] = setup(mgr, net);
@@ -94,8 +94,8 @@ TEST(image_engine, early_and_naive_modes_agree) {
     image_options early;
     image_options naive;
     naive.early_quantification = false;
-    const image_engine e1(mgr, parts, quantify, early);
-    const image_engine e2(mgr, parts, quantify, naive);
+    const transition_relation e1(mgr, parts, quantify, early);
+    const transition_relation e2(mgr, parts, quantify, naive);
 
     const bdd from = state_cube(mgr, vars.cs, net.initial_state());
     EXPECT_EQ(e1.image(from), e2.image(from));
@@ -105,7 +105,7 @@ TEST(image_engine, early_and_naive_modes_agree) {
     EXPECT_EQ(e1.image(set), e2.image(set));
 }
 
-TEST(image_engine, clustering_reduces_part_count) {
+TEST(partitioned_image, clustering_reduces_part_count) {
     const network net = make_counter(8);
     bdd_manager mgr;
     auto [fns, vars] = setup(mgr, net);
@@ -120,8 +120,8 @@ TEST(image_engine, clustering_reduces_part_count) {
     big_clusters.cluster_limit = 100000;
     image_options no_clusters;
     no_clusters.cluster_limit = 0;
-    const image_engine clustered(mgr, parts, quantify, big_clusters);
-    const image_engine flat(mgr, parts, quantify, no_clusters);
+    const transition_relation clustered(mgr, parts, quantify, big_clusters);
+    const transition_relation flat(mgr, parts, quantify, no_clusters);
     EXPECT_LT(clustered.num_clusters(), flat.num_clusters());
     EXPECT_EQ(flat.num_clusters(), parts.size());
     // same results either way
@@ -129,7 +129,7 @@ TEST(image_engine, clustering_reduces_part_count) {
     EXPECT_EQ(clustered.image(from), flat.image(from));
 }
 
-TEST(image_engine, image_of_empty_set_is_empty) {
+TEST(partitioned_image, image_of_empty_set_is_empty) {
     const network net = make_counter(3);
     bdd_manager mgr;
     auto [fns, vars] = setup(mgr, net);
@@ -139,8 +139,8 @@ TEST(image_engine, image_of_empty_set_is_empty) {
     }
     std::vector<std::uint32_t> quantify = vars.in;
     quantify.insert(quantify.end(), vars.cs.begin(), vars.cs.end());
-    const image_engine engine(mgr, parts, quantify);
-    EXPECT_TRUE(engine.image(mgr.zero()).is_zero());
+    const transition_relation relation(mgr, parts, quantify);
+    EXPECT_TRUE(relation.image(mgr.zero()).is_zero());
 }
 
 TEST(reachability, counter_reaches_every_state) {

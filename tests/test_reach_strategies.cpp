@@ -12,7 +12,6 @@
 #include "eq/verify.hpp"
 #include "gen/scenario.hpp"
 #include "img/image.hpp"
-#include "img/parallel.hpp"
 #include "net/generator.hpp"
 #include "net/latch_split.hpp"
 #include "net/netbdd.hpp"
@@ -212,95 +211,6 @@ TEST(reach_strategies_saturation, pinned_state_count_identity_vs_bfs) {
         // chunks are disjoint from the reached set, so every state is
         // discovered exactly once across the trace
         EXPECT_DOUBLE_EQ(discovered, bfs.total_states) << "machine " << id;
-    }
-}
-
-TEST(reach_strategies_parallel, jobs_matrix_identity_per_strategy) {
-    // the PR-10 widening of the identity matrix: every strategy crossed
-    // with --solve-jobs {1,2,4} must reproduce the sequential engine's
-    // reached set handle-for-handle, and the deterministic parallel
-    // counters must agree across worker counts (they may differ across
-    // strategies — bfs images bigger operands than frontier)
-    for (const int id : {2, 3, 6}) {
-        const network net = machine_for(id);
-        bdd_manager mgr;
-        auto [fns, vars] = setup(mgr, net);
-        const bdd init = state_cube(mgr, vars.cs, net.initial_state());
-        const auto nbits = static_cast<std::uint32_t>(vars.cs.size());
-        for (const reach_strategy strategy : all_reach_strategies) {
-            image_options options;
-            options.strategy = strategy;
-            const bdd reference = reachable_states(
-                mgr, fns.next_state, vars.cs, vars.ns, vars.in, init, options);
-            std::size_t ref_chunks = 0, ref_transfer = 0;
-            bool have_ref = false;
-            for (const std::size_t jobs : {1u, 2u, 4u}) {
-                options.solve_jobs = jobs;
-                image_pool pool(jobs);
-                options.executor = &pool;
-                transition_relation relation =
-                    transition_relation::next_state(mgr, fns.next_state,
-                                                    vars.cs, vars.ns,
-                                                    vars.in, options);
-                relation.rename_image_to_current();
-                const reach_info info =
-                    reachable_states_layered(relation, init, nbits);
-                EXPECT_EQ(info.reached, reference)
-                    << "machine " << id << " strategy "
-                    << to_string(strategy) << " jobs " << jobs;
-                const relation_stats& s = relation.stats();
-                if (!have_ref) {
-                    ref_chunks = s.parallel_chunks;
-                    ref_transfer = s.transfer_nodes;
-                    have_ref = true;
-                } else {
-                    EXPECT_EQ(s.parallel_chunks, ref_chunks)
-                        << to_string(strategy) << " jobs " << jobs;
-                    EXPECT_EQ(s.transfer_nodes, ref_transfer)
-                        << to_string(strategy) << " jobs " << jobs;
-                }
-                options.executor = nullptr;
-            }
-        }
-    }
-}
-
-TEST(reach_strategies_parallel, solver_stats_identity_across_jobs) {
-    // both solver flows plumb solve_jobs into their relations; the CSF,
-    // the subset trajectory, and every deterministic stats counter must
-    // agree with the sequential solve for each worker count
-    const network original = make_shift_xor(3);
-    const split_result split = split_latches(original, {1, 2});
-    const equation_problem problem(split.fixed, original);
-
-    const solve_result seq_part = solve_partitioned(problem, {});
-    const solve_result seq_mono = solve_monolithic(problem, {});
-    ASSERT_EQ(seq_part.status, solve_status::ok);
-    ASSERT_EQ(seq_mono.status, solve_status::ok);
-    for (const std::size_t jobs : {1u, 2u, 4u}) {
-        solve_options options;
-        options.img.solve_jobs = jobs;
-        for (const bool monolithic : {false, true}) {
-            const solve_result& reference = monolithic ? seq_mono : seq_part;
-            const solve_result r = monolithic
-                                       ? solve_monolithic(problem, options)
-                                       : solve_partitioned(problem, options);
-            ASSERT_EQ(r.status, solve_status::ok) << "jobs " << jobs;
-            EXPECT_EQ(r.subset_states_explored,
-                      reference.subset_states_explored)
-                << "jobs " << jobs << " mono " << monolithic;
-            EXPECT_EQ(r.csf_states, reference.csf_states);
-            EXPECT_TRUE(language_equivalent(*r.csf, *reference.csf));
-            EXPECT_EQ(r.stats.images, reference.stats.images)
-                << "jobs " << jobs << " mono " << monolithic;
-        }
-        // the parallel counters themselves: identical across every N
-        const solve_result a = solve_partitioned(problem, options);
-        solve_options other;
-        other.img.solve_jobs = jobs == 1 ? 4 : 1;
-        const solve_result b = solve_partitioned(problem, other);
-        EXPECT_EQ(a.stats.parallel_chunks, b.stats.parallel_chunks);
-        EXPECT_EQ(a.stats.transfer_nodes, b.stats.transfer_nodes);
     }
 }
 

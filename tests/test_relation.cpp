@@ -483,22 +483,4 @@ TEST(relation_layer, prebuilt_fixpoint_requires_renamed_structured_relation) {
     EXPECT_EQ(info.depth, reference.depth);
 }
 
-TEST(relation_layer, image_engine_is_a_thin_wrapper) {
-    // the historical image_engine API serves the same results as the
-    // relation it wraps
-    const network net = make_lfsr(5, {2});
-    bdd_manager mgr;
-    auto [fns, vars] = setup(mgr, net);
-    const std::vector<bdd> parts = next_state_parts(mgr, fns, vars);
-    std::vector<std::uint32_t> quantify = vars.in;
-    quantify.insert(quantify.end(), vars.cs.begin(), vars.cs.end());
-
-    const image_engine engine(mgr, parts, quantify);
-    const transition_relation rel(mgr, parts, quantify);
-    const bdd from = state_cube(mgr, vars.cs, net.initial_state());
-    EXPECT_EQ(engine.image(from), rel.image(from));
-    EXPECT_EQ(engine.num_clusters(), rel.num_clusters());
-    EXPECT_EQ(engine.relation().num_parts(), parts.size());
-}
-
 } // namespace
