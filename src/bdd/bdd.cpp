@@ -18,8 +18,8 @@ namespace leq {
 
 const char* bdd_op_name(std::size_t k) {
     static const char* const names[bdd_num_ops] = {
-        "and",     "xor",      "ite",       "exists", "and_exists",
-        "support", "cofactor", "constrain", "restrict"};
+        "and",     "xor",      "ite",       "exists",   "and_exists",
+        "support", "cofactor", "constrain", "restrict", "permute"};
     return k < bdd_num_ops ? names[k] : "?";
 }
 
@@ -544,7 +544,10 @@ void bdd_manager::cache_age_and_purge() {
         for (std::uint32_t w = 0; w < cache_ways_; ++w) {
             const cache_entry e = cache_[b + w];
             if (e.o == 0xff) { continue; }
-            if (!mark_[node_of(e.f)] || !mark_[node_of(e.g)] ||
+            // a permute entry's g slot is a perms_ token, not a reference
+            const bool g_is_ref =
+                e.o != static_cast<std::uint8_t>(op::permute_op);
+            if (!mark_[node_of(e.f)] || (g_is_ref && !mark_[node_of(e.g)]) ||
                 !mark_[node_of(e.h)] || !mark_[node_of(e.result)]) {
                 continue;
             }

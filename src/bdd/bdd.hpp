@@ -150,12 +150,13 @@ struct bdd_deadline_exceeded : std::runtime_error {
 
 /// Number of distinct cached operation kinds; indexes the per-op counters
 /// in bdd_stats (and_op, xor_op, ite_op, exists_op, and_exists_op,
-/// support_op, cofactor_op, constrain_op, restrict_op — in that order).
-inline constexpr std::size_t bdd_num_ops = 9;
+/// support_op, cofactor_op, constrain_op, restrict_op, permute_op — in that
+/// order).
+inline constexpr std::size_t bdd_num_ops = 10;
 
 /// Stable short name of cached operation kind k ("and", "xor", "ite",
-/// "exists", "and_exists", "support", "cofactor", "constrain", "restrict");
-/// "?" for out-of-range k.
+/// "exists", "and_exists", "support", "cofactor", "constrain", "restrict",
+/// "permute"); "?" for out-of-range k.
 [[nodiscard]] const char* bdd_op_name(std::size_t k);
 
 /// Statistics snapshot for diagnostics and benchmarking.
@@ -290,6 +291,13 @@ public:
 
     /// Rename variables: result(x) = f(x with var v replaced by perm[v]).
     /// `perm` must be defined for every variable in the support of f.
+    /// Cost: memoized in the computed cache under a per-manager token for
+    /// `perm` (f and !f share one entry), so renaming a DAG that shares
+    /// sub-DAGs with earlier renames only visits the new nodes (barring
+    /// cache eviction).  When the renamed variable stays above both renamed
+    /// children — always, for an order-keeping rename like the solver's
+    /// interleaved ns->cs swap of a successor leaf — each node is rebuilt
+    /// with one `mk`; otherwise with an `ite`.
     [[nodiscard]] bdd permute(const bdd& f,
                               const std::vector<std::uint32_t>& perm);
     /// Functional composition: substitute g for variable v in f.
@@ -454,9 +462,9 @@ private:
 
     enum class op : std::uint8_t {
         and_op, xor_op, ite_op, exists_op, and_exists_op, support_op,
-        cofactor_op, constrain_op, restrict_op
+        cofactor_op, constrain_op, restrict_op, permute_op
     };
-    static_assert(static_cast<std::size_t>(op::restrict_op) + 1 == bdd_num_ops,
+    static_assert(static_cast<std::size_t>(op::permute_op) + 1 == bdd_num_ops,
                   "bdd_num_ops must match the cached-op enum");
 
     /// One computed-cache slot.  Slots are grouped into `cache_ways_`-entry
@@ -617,9 +625,12 @@ private:
     std::uint32_t support_rec(std::uint32_t f);
     std::uint32_t constrain_rec(std::uint32_t f, std::uint32_t c);
     std::uint32_t restrict_rec(std::uint32_t f, std::uint32_t c);
+    /// Cached core: the computed-cache key is (permute_op, regular f,
+    /// token, 0), where `token` is perm's slot in perms_ — not a node
+    /// reference, which cache_age_and_purge must respect.
     std::uint32_t permute_rec(std::uint32_t f,
                               const std::vector<std::uint32_t>& perm,
-                              std::vector<std::uint32_t>& memo);
+                              std::uint32_t token);
     std::uint32_t compose_rec(std::uint32_t f, std::uint32_t v,
                               std::uint32_t g,
                               std::vector<std::uint32_t>& memo);
@@ -654,6 +665,10 @@ private:
     bdd_stats stats_;
     std::vector<char> mark_; ///< scratch for GC / traversals
     std::vector<std::uint32_t> gc_worklist_; ///< reused GC mark worklist
+    /// Every permutation permute() has seen; an entry's slot is the token
+    /// its cache entries carry.  Entries are never removed, so tokens stay
+    /// unique; callers use only a handful of distinct renamings.
+    std::vector<std::vector<std::uint32_t>> perms_;
 
     // live only during a reordering call
     std::vector<std::uint32_t> rc_;                    ///< internal ref counts

@@ -4,7 +4,9 @@
 /// All of these commute with complementation, so the recursions memoize on
 /// the *regular* reference only and XOR the caller's complement bit back
 /// into the result — halving memo pressure and making f / !f renames share
-/// all work.
+/// all work.  `permute` memoizes in the computed cache, so a sub-DAG renamed
+/// by an earlier call costs one cache hit; compose still uses a per-call
+/// memo.
 
 #include "bdd/bdd.hpp"
 
@@ -17,26 +19,38 @@ bdd bdd_manager::permute(const bdd& f, const std::vector<std::uint32_t>& perm) {
     checked_guard("permute", f);
     assert(f.manager() == this);
     maybe_gc_or_grow();
-    std::vector<std::uint32_t> memo(nodes_.size(), idx_nil);
-    return make(permute_rec(f.index(), perm, memo));
+    // the computed cache keys a rename by the permutation's slot in perms_
+    auto it = std::find(perms_.begin(), perms_.end(), perm);
+    if (it == perms_.end()) { it = perms_.insert(perms_.end(), perm); }
+    const auto token = static_cast<std::uint32_t>(it - perms_.begin());
+    return make(permute_rec(f.index(), *it, token));
 }
 
 std::uint32_t bdd_manager::permute_rec(std::uint32_t f,
                                        const std::vector<std::uint32_t>& perm,
-                                       std::vector<std::uint32_t>& memo) {
+                                       std::uint32_t token) {
     if (is_terminal(f)) { return f; }
     const std::uint32_t out = comp_of(f);
-    const std::uint32_t n = node_of(f);
-    if (n < memo.size() && memo[n] != idx_nil) { return memo[n] ^ out; }
-    const node nf = nodes_[n];
-    const std::uint32_t r0 = permute_rec(nf.lo, perm, memo);
-    const std::uint32_t r1 = permute_rec(nf.hi, perm, memo);
+    f ^= out;
+    std::uint32_t result = 0;
+    if (cache_lookup(op::permute_op, f, token, 0, result)) {
+        return result ^ out;
+    }
+    const node nf = nodes_[node_of(f)];
+    const std::uint32_t r0 = permute_rec(nf.lo, perm, token);
+    const std::uint32_t r1 = permute_rec(nf.hi, perm, token);
     assert(nf.var < perm.size());
     const std::uint32_t new_var = perm[nf.var];
-    // the renamed variable may land anywhere in the order, so rebuild with a
-    // full ITE rather than a bottom-up mk
-    const std::uint32_t result = ite_rec(mk(new_var, 0, 1), r1, r0);
-    if (n < memo.size()) { memo[n] = result; }
+    const std::uint32_t new_level = var2level_[new_var];
+    if (new_level < level(r0) && new_level < level(r1)) {
+        // the renamed variable still sits above both renamed children (an
+        // order-keeping rename such as the solver's ns->cs swap)
+        result = mk(new_var, r0, r1);
+    } else {
+        // it lands inside a child's order: rebuild with a full ITE
+        result = ite_rec(mk(new_var, 0, 1), r1, r0);
+    }
+    cache_store(op::permute_op, f, token, 0, result);
     return result ^ out;
 }
 

@@ -15,9 +15,9 @@
 ///
 /// What makes this workable across machines and compilers is that every
 /// *gated* metric is a deterministic work counter read off the BDD manager
-/// (cache lookups, hit rate, GC runs, allocated nodes) or the solver
-/// (subset states, CSF states, reachability depth) — identical on every
-/// host.  Wall-clock seconds are recorded for humans but never gated.
+/// (cache lookups and misses, hit rate, GC runs, allocated nodes) or the
+/// solver (subset states, CSF states, reachability depth) — identical on
+/// every host.  Wall-clock seconds are recorded for humans but never gated.
 ///
 /// The `cachefix/*` rows pin the before half of the story of the PR that
 /// introduced this file: `reach/mix26` and `solve/counter_x256` run under

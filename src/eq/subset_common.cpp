@@ -114,9 +114,15 @@ subset_driver::run(const bdd& initial_state,
 
     solve_result result;
 
-    // subset states interned by BDD index (canonical)
+    // subset states interned by BDD index (canonical), over the ns
+    // variables as split_by_top_block returns them; `subsets` holds the
+    // handles, so no interned index is recycled by GC
     std::unordered_map<std::uint32_t, std::uint32_t> ids;
     std::vector<bdd> subsets;
+    // ns_to_cs is the cs<->ns swap, so one rename goes either way
+    const auto rename = [&](const bdd& state) {
+        return mgr.permute(state, ns_to_cs);
+    };
     // The subset construction is itself a reachability exploration over
     // subset states; the reach strategy picks the worklist discipline.  The
     // explored set (and therefore the CSF) is order-independent, but the
@@ -143,7 +149,7 @@ subset_driver::run(const bdd& initial_state,
     };
     std::vector<std::vector<edge>> edges;
 
-    intern(initial_state);
+    intern(rename(initial_state)); // into ns space, like every leaf
     while (!work.empty()) {
         if (options.time_limit_seconds > 0 &&
             elapsed() > options.time_limit_seconds) {
@@ -166,7 +172,7 @@ subset_driver::run(const bdd& initial_state,
         }
         expansion exp;
         try {
-            exp = expand(subsets[id]);
+            exp = expand(rename(subsets[id]));
         } catch (const relation_deadline_exceeded&) {
             // a single image chain inside the expansion outlived the
             // deadline armed by with_deadline()
@@ -176,8 +182,7 @@ subset_driver::run(const bdd& initial_state,
         }
         if (edges.size() <= id) { edges.resize(id + 1); }
         for (const cofactor_class& c : exp.successors) {
-            const bdd successor = mgr.permute(c.leaf, ns_to_cs);
-            edges[id].push_back({intern(successor), c.guard});
+            edges[id].push_back({intern(c.leaf), c.guard});
         }
         if (!exp.to_dca.is_zero()) {
             // DCA is state number `subsets.size()` once exploration ends;
@@ -208,7 +213,7 @@ subset_driver::run(const bdd& initial_state,
         // prefix-close: DCN-type subsets are non-accepting in the final
         // answer and are removed before the progressive fixpoint
         for (std::uint32_t s = 0; s < num_subsets; ++s) {
-            if (is_bad(subsets[s])) { alive[s] = false; }
+            if (is_bad(rename(subsets[s]))) { alive[s] = false; }
         }
         if (!alive[0]) {
             result.empty_solution = true;

@@ -65,13 +65,17 @@ struct expansion {
 
 /// Generic subset-construction driver.  `expand` maps a subset state (over
 /// current-state variables) to its successor classes (leaves over
-/// next-state variables; the driver renames them back).  Returns the CSF
+/// next-state variables).  The driver interns the leaves as they are, over
+/// ns, and renames a subset to cs once, when it is expanded (or classified
+/// by `is_bad`), instead of once per successor edge.  Returns the CSF
 /// after progressive trimming, or an early status on limits.
 struct subset_driver {
     bdd_manager& mgr;
     std::vector<std::uint32_t> uv_vars;    ///< u then v (label variables)
     std::vector<std::uint32_t> u_vars;     ///< X's inputs (progressive set)
-    std::vector<std::uint32_t> ns_to_cs;   ///< permutation for leaf renaming
+    /// The cs<->ns swap: renames an interned (ns) subset to cs once per
+    /// expansion, and the initial state (cs) into ns space once.
+    std::vector<std::uint32_t> ns_to_cs;
     const solve_options& options;
 
     /// \param is_bad optional classifier for DCN-type subsets (those meeting

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <numeric>
 #include <random>
+#include <string>
 #include <vector>
 
 namespace {
@@ -421,6 +422,257 @@ TEST(oracle_canonicity, shared_phases_across_operations) {
     EXPECT_EQ(m.ite(!f, g, !g).index(), (f ^ g).index());
     EXPECT_EQ(f.implies(g).index(), (!(f & !g)).index());
     m.check_consistency();
+}
+
+// ---------------------------------------------------------------------------
+// the cached rename: permute memoizes in the computed cache under a
+// per-manager permutation token
+// ---------------------------------------------------------------------------
+
+/// Variables laid out like the solver's order: interleaved u/v pairs on
+/// top, then interleaved cs/ns pairs (cs_k directly above ns_k).
+struct rename_layout {
+    static constexpr std::uint32_t nvars = 10;
+    std::vector<std::uint32_t> uv{0, 1, 2, 3};
+    std::vector<std::uint32_t> cs{4, 6, 8};
+    std::vector<std::uint32_t> ns{5, 7, 9};
+
+    [[nodiscard]] std::vector<std::uint32_t> identity() const {
+        std::vector<std::uint32_t> perm(nvars);
+        std::iota(perm.begin(), perm.end(), 0u);
+        return perm;
+    }
+    /// The solver's cs<->ns swap: keeps the order on functions over ns.
+    [[nodiscard]] std::vector<std::uint32_t> ns_cs_swap() const {
+        std::vector<std::uint32_t> perm = identity();
+        for (std::size_t k = 0; k < cs.size(); ++k) {
+            perm[cs[k]] = ns[k];
+            perm[ns[k]] = cs[k];
+        }
+        return perm;
+    }
+    /// The u<->v swap (u_m and v_m are adjacent, u_m on top).
+    [[nodiscard]] std::vector<std::uint32_t> uv_swap() const {
+        std::vector<std::uint32_t> perm = identity();
+        for (std::size_t m = 0; m + 1 < uv.size(); m += 2) {
+            std::swap(perm[uv[m]], perm[uv[m + 1]]);
+        }
+        return perm;
+    }
+};
+
+/// A random function over `vars` together with its oracle table.
+std::pair<bdd, words> random_function(bdd_manager& mgr, std::mt19937& rng,
+                                      const std::vector<std::uint32_t>& vars,
+                                      std::uint32_t nvars) {
+    const auto literal = [&]() -> std::pair<bdd, words> {
+        const std::uint32_t v = vars[rng() % vars.size()];
+        if ((rng() & 1) != 0) { return {mgr.var(v), tt_var(nvars, v)}; }
+        return {mgr.nvar(v), tt_not(tt_var(nvars, v), nvars)};
+    };
+    auto [f, t] = literal();
+    for (int k = 0; k < 10; ++k) {
+        const auto [g, u] = literal();
+        const int op = static_cast<int>(rng() % 3);
+        f = op == 0 ? (f & g) : op == 1 ? (f | g) : (f ^ g);
+        t = tt_bin(t, u, op);
+    }
+    return {f, t};
+}
+
+std::size_t op_index(const char* name) {
+    for (std::size_t k = 0; k < leq::bdd_num_ops; ++k) {
+        if (std::string(leq::bdd_op_name(k)) == name) { return k; }
+    }
+    ADD_FAILURE() << "no cached op named " << name;
+    return 0;
+}
+
+/// Lookups and hits of one cached op (or of the ITE family that the
+/// rename's fallback rebuilds through) between two snapshots.
+struct op_traffic {
+    std::size_t lookups = 0;
+    std::size_t hits = 0;
+};
+
+op_traffic traffic_since(const leq::bdd_stats& before,
+                         const leq::bdd_stats& after,
+                         std::initializer_list<const char*> ops) {
+    op_traffic t;
+    for (const char* name : ops) {
+        const std::size_t k = op_index(name);
+        t.lookups += after.op_lookups[k] - before.op_lookups[k];
+        t.hits += after.op_hits[k] - before.op_hits[k];
+    }
+    return t;
+}
+
+TEST(cached_rename, ns_cs_and_uv_swaps_interleaved_never_alias) {
+    const rename_layout layout;
+    const std::uint32_t n = rename_layout::nvars;
+    const auto ns_cs = layout.ns_cs_swap();
+    const auto uv = layout.uv_swap();
+    std::vector<std::uint32_t> all(n);
+    std::iota(all.begin(), all.end(), 0u);
+    for (unsigned round = 0; round < 8; ++round) {
+        const unsigned seed = leq::test_seed(round);
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937 rng(seed);
+        bdd_manager mgr(n);
+        // both renamings of every function, alternating which goes first:
+        // an entry keyed without the permutation would hand one swap's
+        // result to the other
+        for (int k = 0; k < 6; ++k) {
+            const auto [f, t] = random_function(mgr, rng, all, n);
+            const bool ns_first = (k % 2) == 0;
+            for (int pass = 0; pass < 2; ++pass) {
+                const auto& perm = (pass == 0) == ns_first ? ns_cs : uv;
+                const bdd r = mgr.permute(f, perm);
+                ASSERT_NO_FATAL_FAILURE(expect_matches(
+                    mgr, r, tt_permute(t, perm, n), n, "rename"));
+            }
+            // a composed rename goes through both tokens again
+            const bdd both = mgr.permute(mgr.permute(f, uv), ns_cs);
+            ASSERT_NO_FATAL_FAILURE(expect_matches(
+                mgr, both, tt_permute(tt_permute(t, uv, n), ns_cs, n), n,
+                "uv then ns->cs"));
+            // the swaps are involutions: renaming back restores the handle
+            EXPECT_EQ(mgr.permute(mgr.permute(f, ns_cs), ns_cs), f);
+            EXPECT_EQ(mgr.permute(mgr.permute(f, uv), uv), f);
+        }
+        mgr.check_consistency();
+    }
+}
+
+TEST(cached_rename, order_keeping_rename_builds_with_mk_alone) {
+    // a successor leaf lives over ns only; renaming it to cs keeps the
+    // order, so the rename must never fall back to ITE
+    const rename_layout layout;
+    const std::uint32_t n = rename_layout::nvars;
+    std::mt19937 rng(leq::test_seed(11));
+    bdd_manager mgr(n);
+    for (int k = 0; k < 8; ++k) {
+        const auto [leaf, t] = random_function(mgr, rng, layout.ns, n);
+        const leq::bdd_stats before = mgr.stats();
+        const bdd r = mgr.permute(leaf, layout.ns_cs_swap());
+        const op_traffic ite = traffic_since(before, mgr.stats(),
+                                             {"ite", "and", "xor"});
+        EXPECT_EQ(ite.lookups, 0u) << "leaf " << k;
+        ASSERT_NO_FATAL_FAILURE(expect_matches(
+            mgr, r, tt_permute(t, layout.ns_cs_swap(), n), n, "leaf rename"));
+    }
+}
+
+TEST(cached_rename, order_breaking_rename_falls_back_to_ite) {
+    // reversing the order moves every renamed variable below its children:
+    // the mk fast path cannot apply and the ITE rebuild must run
+    const std::uint32_t n = 8;
+    std::vector<std::uint32_t> reverse(n);
+    std::vector<std::uint32_t> all(n);
+    for (std::uint32_t v = 0; v < n; ++v) {
+        reverse[v] = n - 1 - v;
+        all[v] = v;
+    }
+    std::mt19937 rng(leq::test_seed(12));
+    bdd_manager mgr(n);
+    std::size_t fallback_lookups = 0;
+    for (int k = 0; k < 8; ++k) {
+        const auto [f, t] = random_function(mgr, rng, all, n);
+        const leq::bdd_stats before = mgr.stats();
+        const bdd r = mgr.permute(f, reverse);
+        fallback_lookups +=
+            traffic_since(before, mgr.stats(), {"ite", "and", "xor"}).lookups;
+        ASSERT_NO_FATAL_FAILURE(expect_matches(
+            mgr, r, tt_permute(t, reverse, n), n, "reversed rename"));
+        EXPECT_EQ(mgr.permute(r, reverse), f);
+    }
+    EXPECT_GT(fallback_lookups, 0u);
+    mgr.check_consistency();
+}
+
+TEST(cached_rename, f_and_not_f_share_one_entry) {
+    const rename_layout layout;
+    const std::uint32_t n = rename_layout::nvars;
+    std::vector<std::uint32_t> all(n);
+    std::iota(all.begin(), all.end(), 0u);
+    std::mt19937 rng(leq::test_seed(13));
+    bdd_manager mgr(n);
+    const auto [f, t] = random_function(mgr, rng, all, n);
+    const bdd r = mgr.permute(f, layout.uv_swap());
+    const leq::bdd_stats before = mgr.stats();
+    const bdd nr = mgr.permute(!f, layout.uv_swap());
+    // one probe, at the root, and it hits the entry f stored
+    const op_traffic p = traffic_since(before, mgr.stats(), {"permute"});
+    EXPECT_EQ(p.lookups, 1u);
+    EXPECT_EQ(p.hits, 1u);
+    EXPECT_EQ(nr, !r);
+    ASSERT_NO_FATAL_FAILURE(expect_matches(
+        mgr, nr, tt_not(tt_permute(t, layout.uv_swap(), n), n), n,
+        "complemented rename"));
+}
+
+TEST(cached_rename, repeated_across_gc_with_recycled_nodes) {
+    const rename_layout layout;
+    const std::uint32_t n = rename_layout::nvars;
+    const auto ns_cs = layout.ns_cs_swap();
+    const auto uv = layout.uv_swap();
+    std::vector<std::uint32_t> all(n);
+    std::iota(all.begin(), all.end(), 0u);
+    std::mt19937 rng(leq::test_seed(14));
+    bdd_manager mgr(n);
+    // node 1 is the first node allocated; let it die so a purge that read
+    // the token slot of the third permutation (token 2 -> node_of 1) as a
+    // reference would drop live entries
+    { const bdd first = mgr.var(n - 1); }
+    const std::vector<std::uint32_t> third = [&layout] {
+        std::vector<std::uint32_t> perm = layout.identity();
+        std::swap(perm[0], perm[2]); // u0 <-> u1
+        return perm;
+    }();
+    (void)mgr.permute(mgr.var(0), ns_cs);
+    (void)mgr.permute(mgr.var(0), uv);
+    std::vector<std::uint32_t> no_last(all.begin(), all.end() - 1);
+    const auto [kept, kept_t] = random_function(mgr, rng, no_last, n);
+    const bdd kept_r = mgr.permute(kept, third);
+
+    // garbage: functions and renames that die before the collection, more
+    // of them than the rounds below hold live at once
+    for (int k = 0; k < 60; ++k) {
+        const auto [g, gt] = random_function(mgr, rng, all, n);
+        (void)mgr.permute(g, (k % 2) == 0 ? ns_cs : uv);
+    }
+    mgr.collect_garbage();
+    const std::size_t arena = mgr.stats().allocated_nodes;
+
+    // the held rename survived the purge: one root probe, one hit
+    const leq::bdd_stats before = mgr.stats();
+    EXPECT_EQ(mgr.permute(kept, third), kept_r);
+    const op_traffic p = traffic_since(before, mgr.stats(), {"permute"});
+    EXPECT_EQ(p.lookups, 1u);
+    EXPECT_EQ(p.hits, 1u);
+
+    // fresh functions reuse the swept indices; any stale entry keyed on
+    // (or resolving to) a recycled node would break the oracle here
+    for (int round = 0; round < 3; ++round) {
+        std::vector<std::pair<bdd, words>> live;
+        for (int k = 0; k < 12; ++k) {
+            live.push_back(random_function(mgr, rng, all, n));
+        }
+        for (const auto& [g, gt] : live) {
+            for (const auto* perm : {&ns_cs, &uv, &third}) {
+                const bdd r = mgr.permute(g, *perm);
+                ASSERT_NO_FATAL_FAILURE(expect_matches(
+                    mgr, r, tt_permute(gt, *perm, n), n, "post-GC rename"));
+            }
+        }
+        mgr.collect_garbage();
+        mgr.check_consistency();
+    }
+    // the swept nodes were recycled rather than appended
+    EXPECT_EQ(mgr.stats().allocated_nodes, arena);
+    ASSERT_NO_FATAL_FAILURE(expect_matches(
+        mgr, mgr.permute(kept, third), tt_permute(kept_t, third, n), n,
+        "held rename"));
 }
 
 } // namespace

@@ -332,6 +332,9 @@ TEST(cli_solve, stats_line_carries_the_per_op_cache_breakdown) {
     // the breakdown object names only ops that were actually looked up
     EXPECT_NE(line.find("\"op_cache\""), std::string::npos) << line;
     EXPECT_NE(line.find("\"lookups\""), std::string::npos) << line;
+    // successor renaming has its own entry, not charged to the ITE family
+    EXPECT_NE(line.find("\"permute\":{\"lookups\""), std::string::npos)
+        << line;
 }
 
 TEST(cli_errors, memory_flags_reject_bad_values) {
