@@ -15,9 +15,10 @@
 ///
 /// What makes this workable across machines and compilers is that every
 /// *gated* metric is a deterministic work counter read off the BDD manager
-/// (cache lookups and misses, hit rate, GC runs, allocated nodes) or the
-/// solver (subset states, CSF states, reachability depth) — identical on
-/// every host.  Wall-clock seconds are recorded for humans but never gated.
+/// (cache lookups, hit rate and the misses the gate derives from them, GC
+/// runs, allocated nodes) or the solver (subset states, CSF states,
+/// reachability depth) — identical on every host.  Wall-clock seconds are
+/// recorded for humans but never gated.
 ///
 /// The `cachefix/*` rows pin the before half of the story of the PR that
 /// introduced this file: `reach/mix26` and `solve/counter_x256` run under
@@ -113,7 +114,8 @@ struct bench_compare_result {
 
 /// Gate `current` against `base`.  A workload present in the baseline but
 /// missing from the current run is itself a regression (the trajectory
-/// must not silently lose coverage).
+/// must not silently lose coverage).  Rows that carry `cache_lookups` and
+/// `cache_hit_rate` are also gated on the misses derived from them.
 [[nodiscard]] bench_compare_result
 compare_bench_reports(const bench_report& base, const bench_report& current);
 
