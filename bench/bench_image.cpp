@@ -22,7 +22,8 @@ struct setup {
     net_bdds fns;
     bdd init;
 
-    explicit setup(const network& net) : mgr(0, 20), init(mgr.one()) {
+    explicit setup(const network& net)
+        : mgr(0, bdd_manager_options{/*cache_bits=*/20}), init(mgr.one()) {
         for (std::size_t k = 0; k < net.num_inputs(); ++k) {
             in.push_back(mgr.new_var());
         }

@@ -79,7 +79,7 @@ void sweep(const network& original, std::size_t x_from, std::size_t x_to,
 /// manager, inputs then interleaved cs/ns variables, the partitioned
 /// next-state functions and the initial-state cube.
 struct reach_setup {
-    bdd_manager mgr{0, 20};
+    bdd_manager mgr{0, bdd_manager_options{/*cache_bits=*/20}};
     std::vector<std::uint32_t> in, cs, ns;
     net_bdds fns;
     bdd init;

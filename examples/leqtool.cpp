@@ -362,7 +362,7 @@ int cmd_sweep(const args& a) {
 int cmd_reach(const args& a) {
     if (a.positional.empty()) { return usage(); }
     const network net = read_blif_file(a.positional[0]);
-    bdd_manager mgr(0, 20);
+    bdd_manager mgr(0, bdd_manager_options{/*cache_bits=*/20});
     std::vector<std::uint32_t> in, cs, ns;
     for (std::size_t k = 0; k < net.num_inputs(); ++k) {
         in.push_back(mgr.new_var());

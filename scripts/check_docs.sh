@@ -5,7 +5,10 @@
 #      quickstart:end markers) and execute it verbatim with bash -e — a
 #      renamed flag, moved example, or broken subcommand fails here;
 #   2. check every relative markdown link in README.md and docs/*.md
-#      resolves to an existing file.
+#      resolves to an existing file;
+#   3. check every flag in a README flag table (rows beginning | `--) is
+#      listed by `leq --help` — a deleted flag fails here instead of
+#      lingering in the docs.
 #
 # Usage: scripts/check_docs.sh   (expects ./build/leq to exist)
 set -euo pipefail
@@ -43,3 +46,16 @@ for doc in README.md docs/*.md; do
 done
 [ "$status" -eq 0 ] || fail "broken markdown links"
 echo "== links ok =="
+
+# ---- 3. README flag tables match leq --help ---------------------------------
+help=$(build/leq --help 2>&1) || fail "leq --help failed"
+status=0
+while IFS= read -r flag; do
+    if ! grep -qE -- "(^|[^a-z-])$flag([^a-z-]|\$)" <<<"$help"; then
+        echo "check_docs: README.md documents $flag, which leq --help" \
+             "does not list" >&2
+        status=1
+    fi
+done < <(grep -o '^| `--[a-z-]*' README.md | sed 's/^| `//')
+[ "$status" -eq 0 ] || fail "README flag table drifted from leq --help"
+echo "== flags ok =="

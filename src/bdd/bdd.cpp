@@ -154,13 +154,6 @@ bdd bdd::low() const {
 // manager construction
 // ---------------------------------------------------------------------------
 
-bdd_manager::bdd_manager(std::uint32_t num_vars, unsigned cache_bits)
-    : bdd_manager(num_vars, [cache_bits] {
-          bdd_manager_options options;
-          options.cache_bits = cache_bits;
-          return options;
-      }()) {}
-
 bdd_manager::bdd_manager(std::uint32_t num_vars,
                          const bdd_manager_options& options) {
 #ifdef LEQ_CHECKED
@@ -174,13 +167,6 @@ bdd_manager::bdd_manager(std::uint32_t num_vars,
     opts_.max_cache_bits =
         std::min(std::max(opts_.max_cache_bits, opts_.cache_bits), 30u);
     opts_.gc_threshold = std::max<std::size_t>(opts_.gc_threshold, 1u << 10);
-    // associativity: a power of two in 1..16 (round down); the 8-bit floor
-    // on cache_bits guarantees at least 2^8/16 = 16 buckets
-    opts_.cache_ways = std::min(std::max(opts_.cache_ways, 1u), 16u);
-    while ((opts_.cache_ways & (opts_.cache_ways - 1)) != 0) {
-        opts_.cache_ways &= opts_.cache_ways - 1;
-    }
-    cache_ways_ = opts_.cache_ways;
     gc_threshold_ = opts_.gc_threshold;
     nodes_.reserve(1u << 12);
     // node 0: the single terminal, denoting FALSE as a regular reference
@@ -190,9 +176,8 @@ bdd_manager::bdd_manager(std::uint32_t num_vars,
     ext_ref_.assign(1, 1); // the terminal is permanently live
     buckets_.assign(1u << 12, idx_nil);
     cache_.assign(std::size_t{1} << opts_.cache_bits, cache_entry{});
-    cache_bucket_mask_ = cache_.size() / cache_ways_ - 1;
+    cache_bucket_mask_ = cache_.size() / cache_assoc - 1;
     stats_.cache_entries = cache_.size();
-    stats_.cache_ways = cache_ways_;
     stats_.gc_threshold = gc_threshold_;
     for (std::uint32_t v = 0; v < num_vars; ++v) { new_var(); }
 }
@@ -287,9 +272,9 @@ void bdd_manager::rehash(std::size_t new_size) {
     assert(free_list_.empty());
     buckets_.assign(new_size, idx_nil);
     for (std::uint32_t i = 1; i < nodes_.size(); ++i) { unique_insert(i); }
-    // the computed cache scales with the unique table: a direct-mapped
-    // cache sized for unit tests thrashes once the arena holds millions of
-    // nodes, so every table growth re-checks the cache budget
+    // the computed cache scales with the unique table: a cache sized for
+    // unit tests thrashes once the arena holds millions of nodes, so every
+    // table growth re-checks the cache budget
     maybe_grow_cache();
 }
 
@@ -308,11 +293,11 @@ void bdd_manager::maybe_grow_cache() {
     std::vector<cache_entry> old;
     old.swap(cache_);
     cache_.assign(target, cache_entry{});
-    cache_bucket_mask_ = static_cast<std::uint64_t>(target / cache_ways_) - 1;
+    cache_bucket_mask_ = static_cast<std::uint64_t>(target / cache_assoc) - 1;
     // walk each old bucket's ways in reverse so move-to-front insertion
     // reconstructs the same recency order in the new geometry
-    for (std::size_t b = 0; b < old.size(); b += cache_ways_) {
-        for (std::uint32_t w = cache_ways_; w > 0; --w) {
+    for (std::size_t b = 0; b < old.size(); b += cache_assoc) {
+        for (std::uint32_t w = cache_assoc; w > 0; --w) {
             const cache_entry& e = old[b + w - 1];
             if (e.o == 0xff) { continue; }
             cache_insert(cache_bucket(static_cast<op>(e.o), e.f, e.g, e.h),
@@ -356,23 +341,15 @@ void bdd_manager::dec_ext_ref(std::uint32_t ref) {
 void bdd_manager::maybe_gc_or_grow() {
     if (nodes_.size() - free_list_.size() < gc_threshold_) { return; }
     collect_garbage();
-    if (opts_.adaptive_gc) {
-        // scale-aware trigger: let the live set double before the next
-        // collection, but never collect before the dead fraction is worth
-        // the sweep — each GC walks the whole arena and ages the computed
-        // cache, so firing every `floor` allocations on a 100k+
-        // node arena churns the memo for nothing.  An unproductive GC
-        // (everything survived) raises the bar exactly as far as the
-        // survivors demand; a productive one drops it back toward
-        // max(floor, arena/2) — the historical fixed doubling ratcheted
-        // up and never came down
-        gc_threshold_ = std::max({opts_.gc_threshold,
-                                  stats_.live_nodes * 2,
-                                  nodes_.size() / 2});
-    } else if (nodes_.size() - free_list_.size() > gc_threshold_ / 4 * 3) {
-        // historical policy: if GC freed less than a quarter, double
-        gc_threshold_ *= 2;
-    }
+    // scale-aware trigger: let the live set double before the next
+    // collection, but never collect before the dead fraction is worth the
+    // sweep — each GC walks the whole arena and ages the computed cache, so
+    // firing every `floor` allocations on a 100k+ node arena churns the memo
+    // for nothing.  An unproductive GC (everything survived) raises the bar
+    // exactly as far as the survivors demand; a productive one drops it back
+    // toward max(floor, arena/2)
+    gc_threshold_ = std::max({opts_.gc_threshold, stats_.live_nodes * 2,
+                              nodes_.size() / 2});
     stats_.gc_threshold = gc_threshold_;
 }
 
@@ -419,11 +396,7 @@ void bdd_manager::collect_garbage() {
     }
     stats_.live_nodes = live;
     stats_.allocated_nodes = nodes_.size();
-    if (opts_.cache_age_on_gc) {
-        cache_age_and_purge();
-    } else {
-        cache_clear();
-    }
+    cache_age_and_purge();
 }
 
 std::size_t bdd_manager::live_node_count() {
@@ -442,8 +415,8 @@ bdd_manager::cache_entry* bdd_manager::cache_bucket(op o, std::uint32_t f,
     const std::uint64_t bucket =
         node_hash((static_cast<std::uint64_t>(o) << 32) | f, g, h) &
         cache_bucket_mask_;
-    cache_entry* e = &cache_[bucket * cache_ways_];
-    if (cache_ways_ * sizeof(cache_entry) > 64) {
+    cache_entry* e = &cache_[bucket * cache_assoc];
+    if (cache_assoc * sizeof(cache_entry) > 64) {
         // a 4-way bucket spans two cache lines: start the second line's
         // fetch while the first ways are compared
         prefetch(reinterpret_cast<const char*>(e) + 64);
@@ -459,9 +432,9 @@ void bdd_manager::cache_insert(cache_entry* bucket,
     // cannot rank them — move-to-front keeps way order as recency order,
     // making "highest way among the oldest" exactly the LRU victim.  All
     // choices are functions of bucket state only: fully deterministic.
-    std::uint32_t target = cache_ways_ - 1;
+    std::uint32_t target = cache_assoc - 1;
     std::uint8_t oldest_distance = 0;
-    for (std::uint32_t w = 0; w < cache_ways_; ++w) {
+    for (std::uint32_t w = 0; w < cache_assoc; ++w) {
         cache_entry& e = bucket[w];
         if (e.o == entry.o && e.f == entry.f && e.g == entry.g &&
             e.h == entry.h) {
@@ -501,7 +474,7 @@ bool bdd_manager::cache_lookup(op o, std::uint32_t f, std::uint32_t g,
     ++stats_.cache_lookups;
     ++stats_.op_lookups[static_cast<std::size_t>(o)];
     cache_entry* bucket = cache_bucket(o, f, g, h);
-    for (std::uint32_t w = 0; w < cache_ways_; ++w) {
+    for (std::uint32_t w = 0; w < cache_assoc; ++w) {
         if (bucket[w].f == f && bucket[w].g == g && bucket[w].h == h &&
             bucket[w].o == static_cast<std::uint8_t>(o)) {
             // a hit entry is earning its slot: refresh the age stamp and
@@ -536,12 +509,12 @@ void bdd_manager::cache_age_and_purge() {
     // live nodes stays — results are canonical references, so the memo is
     // still correct after the sweep.
     ++cache_epoch_;
-    for (std::size_t b = 0; b < cache_.size(); b += cache_ways_) {
+    for (std::size_t b = 0; b < cache_.size(); b += cache_assoc) {
         // compact each bucket's survivors toward way 0 (preserving their
         // order) so the move-to-front invariant — way order is recency
         // order, empties at the tail — holds across the purge
         std::uint32_t keep = 0;
-        for (std::uint32_t w = 0; w < cache_ways_; ++w) {
+        for (std::uint32_t w = 0; w < cache_assoc; ++w) {
             const cache_entry e = cache_[b + w];
             if (e.o == 0xff) { continue; }
             // a permute entry's g slot is a perms_ token, not a reference
@@ -554,7 +527,7 @@ void bdd_manager::cache_age_and_purge() {
             cache_[b + keep] = e;
             ++keep;
         }
-        for (; keep < cache_ways_; ++keep) {
+        for (; keep < cache_assoc; ++keep) {
             cache_[b + keep] = cache_entry{};
         }
     }

@@ -171,7 +171,6 @@ struct bdd_stats {
     std::size_t cache_entries = 0;  ///< current computed-cache slots
     std::size_t cache_resizes = 0;  ///< computed-cache growth events
     std::size_t gc_threshold = 0;   ///< current allocated-node GC trigger
-    std::size_t cache_ways = 0;     ///< computed-cache associativity
     /// Per-operation split of cache_lookups/cache_hits (indexed by the
     /// bdd_op_name order): which recursion is thrashing the cache.
     std::array<std::size_t, bdd_num_ops> op_lookups{};
@@ -179,10 +178,17 @@ struct bdd_stats {
 };
 
 /// Construction-time tuning of a manager's memory discipline: computed-cache
-/// sizing and the garbage-collection trigger.  The defaults fit unit-test
+/// sizing and the garbage-collection floor.  The defaults fit unit-test
 /// workloads; the equation solver overrides them (problem_manager_defaults()
 /// in eq/problem.hpp) and the `leq` CLI exposes all three knobs as
 /// --cache-bits / --max-cache-bits / --gc-threshold.
+///
+/// The discipline itself is fixed: the computed cache is 4-way
+/// set-associative with deterministic move-to-front LRU, it survives garbage
+/// collection (only entries that reference a swept node are purged), and the
+/// GC trigger follows the live set (next trigger = max(gc_threshold,
+/// 2 * live nodes, arena / 2)), so it comes back down after a productive
+/// collection.
 struct bdd_manager_options {
     /// log2 of the initial computed-cache size.
     unsigned cache_bits = 18;
@@ -190,34 +196,12 @@ struct bdd_manager_options {
     /// table geometrically — at least two slots per table bucket, doubling
     /// whenever the table outgrows it (surviving entries are rehash-migrated
     /// into the larger geometry, not discarded) — until it reaches
-    /// 2^max_cache_bits.  max_cache_bits == cache_bits pins the historical
-    /// fixed-size cache that never resized after construction.
+    /// 2^max_cache_bits.  max_cache_bits == cache_bits pins a fixed-size
+    /// cache that never resizes after construction.
     unsigned max_cache_bits = 24;
-    /// Computed-cache associativity: slots per set-associative bucket.
-    /// Clamped to a power of two in 1..16 (rounded down); 1 reproduces the
-    /// historical direct-mapped cache.  Replacement is deterministic
-    /// move-to-front LRU (same-key overwrite, else first empty slot, else
-    /// the least recently touched entry), with GC-epoch age stamps deciding
-    /// staleness across collections.
-    unsigned cache_ways = 4;
-    /// Age the computed cache across garbage collections (purge only the
-    /// entries whose key or result references a swept node; everything else
-    /// survives with an older age stamp).  When false every collection
-    /// clears the whole cache — the historical discipline, kept
-    /// reconstructible so the bench's before/after rows can measure what
-    /// aging buys.
-    bool cache_age_on_gc = true;
     /// Allocated-node count that triggers the first garbage collection;
-    /// also the floor the adaptive trigger never drops below.
+    /// also the floor the live-set-driven trigger never drops below.
     std::size_t gc_threshold = std::size_t{1} << 14;
-    /// Drive the GC trigger by the live-node ratio each collection measures
-    /// (next trigger = max(gc_threshold, 2 * live nodes)): a collection that
-    /// finds everything live raises the bar exactly as far as the survivors
-    /// demand, and a productive one lowers it back toward the floor.  When
-    /// false the historical fixed-doubling policy applies: the trigger
-    /// doubles whenever a collection frees less than a quarter of the arena
-    /// and can never come back down.
-    bool adaptive_gc = true;
 };
 
 /// The BDD manager: node arena, unique table, computed cache and the
@@ -226,13 +210,10 @@ struct bdd_manager_options {
 /// rewrites node contents in place).
 class bdd_manager {
 public:
-    /// \param num_vars   initial number of variables (ids 0..num_vars-1)
-    /// \param cache_bits log2 of the *initial* computed-cache size; the
-    ///        cache grows with the unique table up to the default ceiling
-    ///        (bdd_manager_options::max_cache_bits)
-    explicit bdd_manager(std::uint32_t num_vars = 0, unsigned cache_bits = 18);
-    /// Full memory tuning (cache sizing, GC trigger policy).
-    bdd_manager(std::uint32_t num_vars, const bdd_manager_options& options);
+    /// \param num_vars initial number of variables (ids 0..num_vars-1)
+    /// \param options  memory tuning: cache sizing and the GC floor
+    explicit bdd_manager(std::uint32_t num_vars = 0,
+                         const bdd_manager_options& options = {});
     ~bdd_manager();
 
     bdd_manager(const bdd_manager&) = delete;
@@ -467,7 +448,7 @@ private:
     static_assert(static_cast<std::size_t>(op::permute_op) + 1 == bdd_num_ops,
                   "bdd_num_ops must match the cached-op enum");
 
-    /// One computed-cache slot.  Slots are grouped into `cache_ways_`-entry
+    /// One computed-cache slot.  Slots are grouped into `cache_assoc`-entry
     /// set-associative buckets stored contiguously, so a 4-way bucket spans
     /// at most two cache lines.  `o == 0xff` marks an empty slot; `age` is
     /// the GC epoch the entry was stored (or last hit) in — replacement
@@ -647,9 +628,10 @@ private:
     std::vector<std::uint32_t> ext_ref_;   ///< external refs per node
     std::vector<std::uint32_t> free_list_;
     std::vector<std::uint32_t> buckets_;   ///< unique table (power of two)
+    /// Computed-cache associativity: slots per bucket.
+    static constexpr std::uint32_t cache_assoc = 4;
     std::vector<cache_entry> cache_;       ///< ways-entry buckets, contiguous
     std::uint64_t cache_bucket_mask_ = 0;  ///< bucket count - 1
-    std::uint32_t cache_ways_ = 4;         ///< clamped associativity
     std::uint8_t cache_epoch_ = 0;         ///< age epoch; advances per GC
     std::vector<std::uint32_t> var2level_;
     std::vector<std::uint32_t> level2var_;

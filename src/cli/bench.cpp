@@ -53,37 +53,6 @@ void add_manager_metrics(bench_row& row, bdd_manager& mgr) {
     add(row, "live_nodes", static_cast<double>(stats.live_nodes));
     add(row, "cache_entries", static_cast<double>(stats.cache_entries));
     add(row, "cache_resizes", static_cast<double>(stats.cache_resizes));
-    add(row, "cache_ways", static_cast<double>(stats.cache_ways));
-}
-
-/// The historical memory discipline, reconstructed: a direct-mapped
-/// computed cache that never resizes and the fixed-doubling GC trigger.
-/// `cache_bits` 22 is what `equation_problem` hardcoded before the options
-/// plumbing; 18 is what a default-constructed manager got.
-bdd_manager_options before_options(unsigned cache_bits) {
-    bdd_manager_options mem;
-    mem.cache_bits = cache_bits;
-    mem.max_cache_bits = cache_bits;
-    mem.adaptive_gc = false;
-    mem.cache_ways = 1;
-    return mem;
-}
-
-/// The `cacheways/*` discipline: the historical sizing and GC policy
-/// (fixed cache, fixed-doubling trigger) with the trigger floor lowered to
-/// 2^11 nodes — a deliberately collection-heavy regime, because what a
-/// collection does to the memo is exactly what these rows measure.  The
-/// before/after pair then varies only the PR's cache changes: "before" is
-/// the historical cache — single-slot buckets, cleared at every
-/// collection; "after" is the default 4-way bucket that ages across
-/// collections.
-bdd_manager_options ways_options(unsigned cache_bits, unsigned ways,
-                                 bool age_on_gc) {
-    bdd_manager_options mem = before_options(cache_bits);
-    mem.gc_threshold = std::size_t{1} << 11;
-    mem.cache_ways = ways;
-    mem.cache_age_on_gc = age_on_gc;
-    return mem;
 }
 
 // ---------------------------------------------------------------------------
@@ -103,12 +72,11 @@ image_options strategy_options(reach_strategy strategy) {
 
 /// Solve one scaled gen/ scenario with the partitioned flow.
 bench_row run_solve_scenario(const std::string& id, scenario_family family,
-                             std::uint32_t seed, std::uint32_t scale,
-                             const bdd_manager_options& mem) {
+                             std::uint32_t seed, std::uint32_t scale) {
     bench_row row;
     row.workload = id;
     const scenario s = make_scenario(family, seed, scale);
-    const equation_problem problem(s.fixed, s.spec, s.num_choice_inputs, mem);
+    const equation_problem problem(s.fixed, s.spec, s.num_choice_inputs);
     const solve_result result = solve_partitioned(problem);
     if (result.status != solve_status::ok) {
         throw std::runtime_error("bench workload " + id + " gave up");
@@ -177,21 +145,20 @@ network chain_circuit() { return make_chain_counter(12, 4); }
 /// absorbs most of bfs's re-imaging — the LFSR's reached set is an
 /// irregular, growing BDD that changes shape every step, and the textbook
 /// fixpoint pays for all of it on every image.  This is where saturation's
-/// never-image-more-than-the-frontier discipline wins by an order of
-/// magnitude, not a margin.
+/// never-image-more-than-the-frontier discipline wins most: the baseline
+/// test requires bfs to miss the cache more than 1.5x as often.
 network lfsr_circuit() { return make_lfsr(14, {2, 0}); }
 
-/// Layered reachability sweep over the given circuit under the given
-/// memory discipline and reach strategy.  The relation is built
-/// explicitly (the same construction the vector entry point performs) so
-/// the row can harvest the relation-layer work counters; under saturation
-/// `reach_depth` reports fires, not BFS depth (see reach_info).
+/// Layered reachability sweep over the given circuit under the given reach
+/// strategy.  The relation is built explicitly (the same construction the
+/// vector entry point performs) so the row can harvest the relation-layer
+/// work counters; under saturation `reach_depth` reports fires, not BFS
+/// depth (see reach_info).
 bench_row run_reach(const std::string& id, const network& net,
-                    const bdd_manager_options& mem,
                     const image_options& img = {}) {
     bench_row row;
     row.workload = id;
-    bdd_manager mgr(0, mem);
+    bdd_manager mgr;
     std::vector<std::uint32_t> in, cs, ns;
     for (std::size_t k = 0; k < net.num_inputs(); ++k) {
         in.push_back(mgr.new_var());
@@ -222,8 +189,7 @@ bench_row run_reach(const std::string& id, const network& net,
 /// shared-nothing pool makes the summed per-job counters deterministic
 /// regardless of worker count).  Per-job cache traffic — every worker has
 /// its own manager — is summed from the per-record solve stats.
-bench_row run_batch_workload(const std::string& id,
-                             const bdd_manager_options& mem) {
+bench_row run_batch_workload(const std::string& id) {
     bench_row row;
     row.workload = id;
     std::vector<batch_job> jobs;
@@ -244,7 +210,6 @@ bench_row run_batch_workload(const std::string& id,
     batch_options options;
     options.jobs = 2;
     options.config.timing = false;
-    options.config.solve.mem = mem;
     const batch_report report = run_batch(jobs, options);
     if (report.errors != 0 || report.gave_up != 0) {
         throw std::runtime_error("bench workload " + id + " had failures");
@@ -344,14 +309,6 @@ std::vector<std::string> bench_workload_names() {
         "solve/kiss_counter9",
         "reach/mix26",
         "batch/families",
-        "cachefix/reach_mix26/before",
-        "cachefix/solve_counter_x256/before",
-        "cacheways/reach_mix26/before",
-        "cacheways/reach_mix26/after",
-        "cacheways/solve_counter_x256/before",
-        "cacheways/solve_counter_x256/after",
-        "cacheways/batch_families/before",
-        "cacheways/batch_families/after",
         "saturation/reach_mix26/before",
         "saturation/reach_mix26/after",
         "saturation/reach_chain/before",
@@ -364,81 +321,49 @@ std::vector<std::string> bench_workload_names() {
 
 bench_row run_bench_workload(const std::string& workload) {
     if (workload == "solve/counter_x256") {
-        return run_solve_scenario(workload, scenario_family::counter, 3, 256,
-                                  problem_manager_defaults());
+        return run_solve_scenario(workload, scenario_family::counter, 3, 256);
     }
     if (workload == "solve/arbiter_x16") {
-        return run_solve_scenario(workload, scenario_family::arbiter, 2, 16,
-                                  problem_manager_defaults());
+        return run_solve_scenario(workload, scenario_family::arbiter, 2, 16);
     }
     if (workload == "solve/kiss_counter9") {
         const auto [f_kiss, s_kiss] = make_counter_kiss(9);
         return run_solve_kiss(workload, f_kiss, s_kiss);
     }
     if (workload == "reach/mix26") {
-        return run_reach(workload, reach_circuit(), bdd_manager_options{});
+        return run_reach(workload, reach_circuit());
     }
     if (workload == "batch/families") {
-        return run_batch_workload(workload, problem_manager_defaults());
+        return run_batch_workload(workload);
     }
-    if (workload == "cachefix/reach_mix26/before") {
-        return run_reach(workload, reach_circuit(), before_options(18));
-    }
-    if (workload == "cachefix/solve_counter_x256/before") {
-        return run_solve_scenario(workload, scenario_family::counter, 3, 256,
-                                  before_options(22));
-    }
-    // associativity story: identical pinned cache budget, the historical
-    // clear-on-GC single-slot geometry versus the default 4-way aged bucket
-    if (workload == "cacheways/reach_mix26/before") {
-        return run_reach(workload, reach_circuit(), ways_options(18, 1, false));
-    }
-    if (workload == "cacheways/reach_mix26/after") {
-        return run_reach(workload, reach_circuit(), ways_options(18, 4, true));
-    }
-    if (workload == "cacheways/solve_counter_x256/before") {
-        return run_solve_scenario(workload, scenario_family::counter, 3, 256,
-                                  ways_options(22, 1, false));
-    }
-    if (workload == "cacheways/solve_counter_x256/after") {
-        return run_solve_scenario(workload, scenario_family::counter, 3, 256,
-                                  ways_options(22, 4, true));
-    }
-    if (workload == "cacheways/batch_families/before") {
-        return run_batch_workload(workload, ways_options(18, 1, false));
-    }
-    if (workload == "cacheways/batch_families/after") {
-        return run_batch_workload(workload, ways_options(18, 4, true));
-    }
-    // strategy story: same workload and memory discipline, textbook bfs
-    // fixpoint versus the saturation worklist
+    // strategy story: same workload, textbook bfs fixpoint versus the
+    // saturation worklist
     if (workload == "saturation/reach_mix26/before") {
-        return run_reach(workload, reach_circuit(), bdd_manager_options{},
+        return run_reach(workload, reach_circuit(),
                          strategy_options(reach_strategy::bfs));
     }
     if (workload == "saturation/reach_mix26/after") {
-        return run_reach(workload, reach_circuit(), bdd_manager_options{},
+        return run_reach(workload, reach_circuit(),
                          strategy_options(reach_strategy::saturation));
     }
     if (workload == "saturation/reach_chain/before") {
-        return run_reach(workload, chain_circuit(), bdd_manager_options{},
+        return run_reach(workload, chain_circuit(),
                          strategy_options(reach_strategy::bfs));
     }
     if (workload == "saturation/reach_chain/after") {
-        return run_reach(workload, chain_circuit(), bdd_manager_options{},
+        return run_reach(workload, chain_circuit(),
                          strategy_options(reach_strategy::saturation));
     }
     if (workload == "saturation/reach_lfsr14/before") {
-        return run_reach(workload, lfsr_circuit(), bdd_manager_options{},
+        return run_reach(workload, lfsr_circuit(),
                          strategy_options(reach_strategy::bfs));
     }
     if (workload == "saturation/reach_lfsr14/after") {
-        return run_reach(workload, lfsr_circuit(), bdd_manager_options{},
+        return run_reach(workload, lfsr_circuit(),
                          strategy_options(reach_strategy::saturation));
     }
     if (workload == "reach/wide_frontier") {
-        return run_reach(workload, wide_frontier_circuit(),
-                         bdd_manager_options{});
+        return run_reach(workload, wide_frontier_circuit());
     }
     throw std::invalid_argument("unknown bench workload '" + workload + "'");
 }

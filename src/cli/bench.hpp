@@ -20,15 +20,10 @@
 /// reachability depth) — identical on every host.  Wall-clock seconds are
 /// recorded for humans but never gated.
 ///
-/// The `cachefix/*` rows pin the before half of the story of the PR that
-/// introduced this file: `reach/mix26` and `solve/counter_x256` run under
-/// the historical memory discipline (fixed-size direct-mapped computed
-/// cache, fixed-doubling GC trigger — reconstructed via
-/// `bdd_manager_options`); the plain rows are the after half, so the win
-/// stays measurable in every future baseline.  The
-/// `cacheways/*` rows do the same for the set-associative cache: identical
-/// sizing, associativity 1 (the historical single-slot geometry) versus the
-/// default 4-way aged bucket.
+/// The `saturation/*` rows are the one before/after story the trajectory
+/// still carries: the same reachability workload under the textbook bfs
+/// fixpoint and under the saturation worklist.  Every other row runs the
+/// one memory discipline the solver ships.
 #pragma once
 
 #include "bdd/bdd.hpp"

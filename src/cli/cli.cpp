@@ -53,8 +53,6 @@ int usage(std::ostream& err) {
         << "                   cache)\n"
         << "  --gc-threshold N    allocated-node GC trigger floor\n"
         << "                   (default 16384)\n"
-        << "  --cache-ways W      computed-cache associativity, power of two\n"
-        << "                   in 1..16 (default 4; 1 = direct-mapped)\n"
         << "  --choice-inputs N   trailing F inputs are choice inputs w\n"
         << "  --name NAME         job label in the JSON record\n"
         << "  --timing | --no-timing   include wall-clock fields (default:\n"
@@ -223,14 +221,6 @@ int parse_flags(const std::vector<std::string>& args, parsed_args& parsed,
                          parsed.config.solve.mem.gc_threshold)) {
                 return 2;
             }
-        } else if (arg == "--cache-ways") {
-            std::size_t ways = 0;
-            if (!numeric("--cache-ways", ways)) { return 2; }
-            if (ways < 1 || ways > 16 || (ways & (ways - 1)) != 0) {
-                err << "leq: --cache-ways must be a power of two in 1..16\n";
-                return 2;
-            }
-            parsed.config.solve.mem.cache_ways = static_cast<unsigned>(ways);
         } else if (arg == "--choice-inputs") {
             if (!numeric("--choice-inputs", parsed.config.choice_inputs)) {
                 return 2;

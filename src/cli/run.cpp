@@ -187,8 +187,6 @@ std::string record_to_json(const solve_record& record,
         opts.field("max_cache_bits",
                    static_cast<std::size_t>(config.solve.mem.max_cache_bits));
         opts.field("gc_threshold", config.solve.mem.gc_threshold);
-        opts.field("cache_ways",
-                   static_cast<std::size_t>(config.solve.mem.cache_ways));
         obj.field_raw("options", opts.str());
     }
     if (record.completed) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <utility>
 
 namespace leq {
 namespace {
@@ -227,15 +228,16 @@ TEST(bdd_manager_options_test, out_of_range_options_are_clamped) {
     EXPECT_EQ(mgr.stats().gc_threshold, std::size_t{1} << 10);
 }
 
-TEST(bdd_manager_options_test, legacy_ctor_pins_initial_cache_size) {
-    bdd_manager mgr(4, 12u);
+TEST(bdd_manager_options_test, cache_bits_option_pins_initial_cache_size) {
+    leq::bdd_manager_options opts;
+    opts.cache_bits = 12;
+    bdd_manager mgr(4, opts);
     EXPECT_EQ(mgr.stats().cache_entries, std::size_t{1} << 12);
 }
 
-TEST(bdd_manager_options_test, adaptive_gc_trigger_tracks_live_nodes) {
+TEST(bdd_manager_options_test, gc_trigger_tracks_live_nodes) {
     leq::bdd_manager_options opts;
     opts.gc_threshold = std::size_t{1} << 10;
-    opts.adaptive_gc = true;
     bdd_manager mgr(big_nvars, opts);
     // churn: build and drop garbage until collections happen
     for (std::uint32_t round = 0; round < 12; ++round) {
@@ -253,37 +255,9 @@ TEST(bdd_manager_options_test, adaptive_gc_trigger_tracks_live_nodes) {
                   (std::size_t{1} << 10));
 }
 
-TEST(bdd_manager_options_test, legacy_gc_trigger_only_ratchets_up) {
-    leq::bdd_manager_options opts;
-    opts.gc_threshold = std::size_t{1} << 10;
-    opts.adaptive_gc = false;
-    bdd_manager mgr(big_nvars, opts);
-    std::size_t last = mgr.stats().gc_threshold;
-    for (std::uint32_t round = 0; round < 12; ++round) {
-        (void)big_function(mgr, 100 + round);
-        EXPECT_GE(mgr.stats().gc_threshold, last);
-        last = mgr.stats().gc_threshold;
-    }
-}
-
 // ---------------------------------------------------------------------------
-// computed-cache geometry: associativity, replacement, aging across GC
+// computed-cache geometry: sizing, replacement, aging across GC
 // ---------------------------------------------------------------------------
-
-TEST(bdd_cache_geometry, ways_are_clamped_to_a_power_of_two_in_range) {
-    const auto ways_of = [](unsigned requested) {
-        leq::bdd_manager_options opts;
-        opts.cache_ways = requested;
-        return bdd_manager(4, opts).stats().cache_ways;
-    };
-    EXPECT_EQ(ways_of(0), 1u);
-    EXPECT_EQ(ways_of(1), 1u);
-    EXPECT_EQ(ways_of(3), 2u);  // rounded down, not up
-    EXPECT_EQ(ways_of(5), 4u);
-    EXPECT_EQ(ways_of(16), 16u);
-    EXPECT_EQ(ways_of(100), 16u);
-    EXPECT_EQ(bdd_manager(4).stats().cache_ways, 4u); // the default
-}
 
 TEST(bdd_cache_geometry, replacement_is_deterministic) {
     // identical op sequences against identical geometry must produce
@@ -292,7 +266,6 @@ TEST(bdd_cache_geometry, replacement_is_deterministic) {
     leq::bdd_manager_options opts;
     opts.cache_bits = 8;
     opts.max_cache_bits = 10; // pinned small: replacement under pressure
-    opts.cache_ways = 4;
     opts.gc_threshold = std::size_t{1} << 10;
     bdd_manager a(big_nvars, opts);
     bdd_manager b(big_nvars, opts);
@@ -307,21 +280,25 @@ TEST(bdd_cache_geometry, replacement_is_deterministic) {
         << "workload too small to exercise replacement";
 }
 
-TEST(bdd_cache_geometry, results_are_identical_across_ways) {
-    // associativity only changes what is memoized, never what is computed
+TEST(bdd_cache_geometry, results_are_identical_across_cache_sizes) {
+    // cache sizing only changes what is memoized, never what is computed:
+    // a pinned tiny cache, a growing one and a pinned large one all build
+    // the same node
+    const std::pair<unsigned, unsigned> sizes[] = {
+        {8, 8}, {8, 10}, {10, 10}, {8, 16}, {16, 16}};
     std::uint32_t reference = 0;
-    for (unsigned ways : {1u, 2u, 4u, 8u, 16u}) {
+    for (const auto& [bits, max_bits] : sizes) {
         leq::bdd_manager_options opts;
-        opts.cache_bits = 8;
-        opts.max_cache_bits = 10;
-        opts.cache_ways = ways;
+        opts.cache_bits = bits;
+        opts.max_cache_bits = max_bits;
         opts.gc_threshold = std::size_t{1} << 10;
         bdd_manager mgr(big_nvars, opts);
         const bdd f = big_function(mgr, 23);
-        if (ways == 1) {
+        if (reference == 0) {
             reference = f.index();
         } else {
-            EXPECT_EQ(f.index(), reference) << "ways=" << ways;
+            EXPECT_EQ(f.index(), reference)
+                << "cache_bits=" << bits << " max_cache_bits=" << max_bits;
         }
     }
 }
@@ -339,22 +316,6 @@ TEST(bdd_cache_geometry, entries_age_across_gc_instead_of_dying) {
     EXPECT_EQ(mgr.stats().cache_hits, hits + 1)
         << "garbage collection dropped a cache entry whose key and result "
            "are all live";
-}
-
-TEST(bdd_cache_geometry, clear_on_gc_option_restores_the_old_discipline) {
-    leq::bdd_manager_options opts;
-    opts.cache_age_on_gc = false;
-    bdd_manager mgr(8, opts);
-    const bdd f = mgr.var(0);
-    const bdd g = mgr.var(1);
-    const bdd h1 = f & g;
-    mgr.collect_garbage();
-    const std::size_t hits = mgr.stats().cache_hits;
-    const bdd h2 = f & g;
-    EXPECT_EQ(h1, h2);
-    EXPECT_EQ(mgr.stats().cache_hits, hits)
-        << "cache_age_on_gc=false must clear the whole cache at every "
-           "collection";
 }
 
 TEST(bdd_cache_geometry, growth_migrates_surviving_entries) {

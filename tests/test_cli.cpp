@@ -286,35 +286,45 @@ TEST(cli_solve, cache_bits_flag_raises_the_cap_when_needed) {
     EXPECT_EQ(raw_field(line, "max_cache_bits"), "26");
 }
 
-TEST(cli_solve, cache_ways_flag_is_echoed_and_solver_output_is_unchanged) {
+TEST(cli_solve, cache_size_flags_are_echoed_and_solver_output_is_unchanged) {
     // the cache only decides what gets memoized, never what gets computed:
-    // every solver-visible field must be byte-identical across geometries
+    // every solver-visible field must be byte-identical across cache sizes.
+    // The input is big enough that a 2^8-slot cache evicts: it recomputes
+    // far more than a 2^26-slot one
     std::string reference_solution;
     std::string reference_subset;
     std::string reference_csf;
     std::string reference_live;
-    for (const char* ways : {"1", "2", "4", "8"}) {
-        const cli_run r = run({"solve", example("passthrough_f.kiss"),
-                               example("passthrough_s.kiss"), "--cache-ways",
-                               ways, "--collect-stats", "--no-timing"});
+    std::string smallest_cache_lookups;
+    for (const char* bits : {"8", "12", "18", "26"}) {
+        const cli_run r =
+            run({"solve", "gen:arbiter:2:4", "--cache-bits", bits,
+                 "--max-cache-bits", bits, "--collect-stats", "--no-timing"});
         EXPECT_EQ(r.exit_code, 0) << r.err;
         const std::string line = first_line(r.out);
         EXPECT_TRUE(valid_json_object(line)) << line;
-        EXPECT_EQ(raw_field(line, "cache_ways"), ways);
+        EXPECT_EQ(raw_field(line, "cache_bits"), bits);
+        EXPECT_EQ(raw_field(line, "max_cache_bits"), bits);
         const std::string solution = raw_field(line, "status");
         const std::string subset = raw_field(line, "subset_states");
         const std::string csf = raw_field(line, "csf_states");
         const std::string live = raw_field(line, "live_nodes");
-        if (std::string(ways) == "1") {
+        if (std::string(bits) == "8") {
             reference_solution = solution;
             reference_subset = subset;
             reference_csf = csf;
             reference_live = live;
+            smallest_cache_lookups = raw_field(line, "cache_lookups");
         } else {
-            EXPECT_EQ(solution, reference_solution) << "ways=" << ways;
-            EXPECT_EQ(subset, reference_subset) << "ways=" << ways;
-            EXPECT_EQ(csf, reference_csf) << "ways=" << ways;
-            EXPECT_EQ(live, reference_live) << "ways=" << ways;
+            EXPECT_EQ(solution, reference_solution) << "bits=" << bits;
+            EXPECT_EQ(subset, reference_subset) << "bits=" << bits;
+            EXPECT_EQ(csf, reference_csf) << "bits=" << bits;
+            EXPECT_EQ(live, reference_live) << "bits=" << bits;
+        }
+        if (std::string(bits) == "26") {
+            EXPECT_GT(std::stoull(smallest_cache_lookups),
+                      std::stoull(raw_field(line, "cache_lookups")))
+                << "input too small for the cache size to matter";
         }
     }
 }
@@ -344,11 +354,6 @@ TEST(cli_errors, memory_flags_reject_bad_values) {
     EXPECT_EQ(run({"solve", "--max-cache-bits", "31"}).exit_code, 2);
     EXPECT_EQ(run({"solve", "--gc-threshold", "2k"}).exit_code, 2);
     EXPECT_EQ(run({"solve", "--cache-bits"}).exit_code, 2);
-    EXPECT_EQ(run({"solve", "--cache-ways", "3"}).exit_code, 2);
-    EXPECT_EQ(run({"solve", "--cache-ways", "0"}).exit_code, 2);
-    EXPECT_EQ(run({"solve", "--cache-ways", "32"}).exit_code, 2);
-    EXPECT_EQ(run({"solve", "--cache-ways", "abc"}).exit_code, 2);
-    EXPECT_EQ(run({"solve", "--cache-ways"}).exit_code, 2);
 }
 
 TEST(cli_errors, gen_spec_rejects_bad_scale) {
@@ -430,6 +435,9 @@ TEST(cli_errors, unknown_option_is_usage_error) {
         run({"solve", "gen:chaincounter:2", "--solve-jobs", "2"});
     EXPECT_EQ(jobs.exit_code, 2);
     EXPECT_NE(jobs.err.find("unknown option"), std::string::npos) << jobs.err;
+    EXPECT_EQ(run({"solve", "gen:chaincounter:2", "--cache-ways", "4"})
+                  .exit_code,
+              2);
 }
 
 TEST(cli_errors, unknown_command_is_usage_error) {
