@@ -55,9 +55,10 @@ int main(int argc, char** argv) {
     report("monolithic ", mono);
 
     if (part.status != solve_status::ok) { return 1; }
+    bool agree = true;
     if (mono.status == solve_status::ok) {
-        std::cout << "flows agree on the language: "
-                  << (language_equivalent(*part.csf, *mono.csf) ? "yes" : "NO")
+        agree = language_equivalent(*part.csf, *mono.csf);
+        std::cout << "flows agree on the language: " << (agree ? "yes" : "NO")
                   << "\n";
     }
     const bool c1 = verify_particular_contained(problem, *part.csf,
@@ -74,5 +75,5 @@ int main(int argc, char** argv) {
         write_dot(dot, *part.csf, names.get(), "csf");
         std::cout << "wrote " << argv[3] << "\n";
     }
-    return c1 && c2 ? 0 : 1;
+    return agree && c1 && c2 ? 0 : 1;
 }

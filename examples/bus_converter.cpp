@@ -61,14 +61,15 @@ int main() {
     print_automaton(std::cout, csf, names.get());
 
     // the always-on gate must be among the allowed behaviours
+    bool always_on_allowed = false;
     {
         automaton always_on(problem.mgr(), csf.label_vars());
         always_on.add_state(true);
         always_on.set_initial(0);
         always_on.add_transition(0, 0, problem.mgr().var(problem.v_vars[0]));
+        always_on_allowed = language_contained(always_on, csf);
         std::cout << "\n'gate = 1 always' allowed: "
-                  << (language_contained(always_on, csf) ? "yes" : "no")
-                  << '\n';
+                  << (always_on_allowed ? "yes" : "no") << '\n';
     }
 
     // pick the smallest implementation
@@ -77,13 +78,12 @@ int main() {
     std::cout << "smallest extracted gate driver: " << small.fsm.num_states()
               << " state(s), policy " << to_string(small.policy) << '\n';
     print_automaton(std::cout, small.fsm, names.get());
-    std::cout << "composition check: "
-              << (verify_composition_contained(problem, small.fsm) ? "ok"
-                                                                   : "FAILED")
-              << '\n';
+    const bool small_ok = verify_composition_contained(problem, small.fsm);
+    std::cout << "composition check: " << (small_ok ? "ok" : "FAILED") << '\n';
 
     // a wrong driver: gate stuck at 0 — the diagnosis shows the protocol
     // violation as a concrete (req, gate, ack) run
+    bool stuck_rejected = false;
     {
         automaton stuck(problem.mgr(), csf.label_vars());
         stuck.add_state(true);
@@ -91,7 +91,8 @@ int main() {
         stuck.add_transition(0, 0, problem.mgr().nvar(problem.v_vars[0]));
         const verify_diagnosis d =
             diagnose_composition_contained(problem, stuck);
+        stuck_rejected = !d.ok;
         std::cout << "\n'gate = 0 always' diagnosis:\n" << format_diagnosis(d);
     }
-    return 0;
+    return always_on_allowed && small_ok && stuck_rejected ? 0 : 1;
 }

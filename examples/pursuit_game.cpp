@@ -91,12 +91,11 @@ int main() {
     // extract a small concrete strategy and verify it
     const subsolution_result strategy =
         select_small_subsolution(csf, problem.u_vars, problem.v_vars);
+    const bool strategy_ok =
+        verify_composition_contained(problem, strategy.fsm);
     std::cout << "extracted strategy: " << strategy.fsm.num_states()
               << " state(s), policy " << to_string(strategy.policy) << ", "
-              << (verify_composition_contained(problem, strategy.fsm)
-                      ? "verified"
-                      : "FAILED")
-              << "\n\n";
+              << (strategy_ok ? "verified" : "FAILED") << "\n\n";
 
     // simulate 12 rounds against an adversarial cat that always advances
     {
@@ -135,15 +134,17 @@ int main() {
 
     // a bad strategy: the mouse never moves; the diagnosis prints the
     // concrete losing run (the cat walks two steps and eats it)
+    bool lazy_rejected = false;
     {
         automaton lazy(problem.mgr(), csf.label_vars());
         lazy.add_state(true);
         lazy.set_initial(0);
         lazy.add_transition(0, 0, problem.mgr().nvar(problem.v_vars[0]));
         const verify_diagnosis d = diagnose_composition_contained(problem, lazy);
+        lazy_rejected = !d.ok;
         std::cout << "\n'never move' strategy diagnosis (i=cat_go, "
                      "v=mouse_go, o=safe):\n"
                   << format_diagnosis(d);
     }
-    return 0;
+    return strategy_ok && lazy_rejected ? 0 : 1;
 }

@@ -58,8 +58,8 @@ int main() {
 
     // 5. cross-check against the monolithic baseline
     const solve_result mono = solve_monolithic(problem);
-    std::cout << "monolithic flow agrees: "
-              << (language_equivalent(*result.csf, *mono.csf) ? "yes" : "NO")
-              << "\n";
-    return check1 && check2 ? 0 : 1;
+    const bool agree = mono.status == solve_status::ok &&
+                       language_equivalent(*result.csf, *mono.csf);
+    std::cout << "monolithic flow agrees: " << (agree ? "yes" : "NO") << "\n";
+    return check1 && check2 && agree ? 0 : 1;
 }

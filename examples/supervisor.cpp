@@ -65,11 +65,12 @@ int main() {
     const automaton fsm =
         extract_fsm(*result.csf, problem.u_vars, problem.v_vars);
     print_automaton(std::cout, fsm, names.get());
-    std::cout << "extracted FSM contained in CSF: "
-              << (language_contained(fsm, *result.csf) ? "yes" : "NO") << "\n";
+    const bool fits = language_contained(fsm, *result.csf);
+    std::cout << "extracted FSM contained in CSF: " << (fits ? "yes" : "NO")
+              << "\n";
 
     const bool sound = verify_composition_contained(problem, *result.csf);
     std::cout << "plant . CSF <= spec: " << (sound ? "verified" : "FAILED")
               << "\n";
-    return sound ? 0 : 1;
+    return fits && sound ? 0 : 1;
 }

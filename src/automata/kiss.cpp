@@ -138,7 +138,12 @@ automaton read_kiss(std::istream& in, bdd_manager& mgr,
         }
     }
     if (!have_rows) { throw std::runtime_error("kiss: no transitions"); }
-    aut.set_initial(ids.at(reset_name));
+    const auto reset = ids.find(reset_name);
+    if (reset == ids.end()) {
+        throw std::runtime_error("kiss: reset state '" + reset_name +
+                                 "' has no transitions");
+    }
+    aut.set_initial(reset->second);
     return aut;
 }
 
@@ -154,22 +159,49 @@ kiss_header read_kiss_header(const std::string& text) {
     kiss_header h;
     bool have_i = false, have_o = false;
     std::string line;
-    while (std::getline(in, line) && !(have_i && have_o)) {
+    std::size_t line_no = 0;
+    const auto fail = [&](const std::string& message) {
+        throw std::runtime_error("kiss:" + std::to_string(line_no) + ": " +
+                                 message);
+    };
+    // the header's widths are only trusted once the first transition row
+    // confirms them: callers size port and variable vectors from them
+    while (std::getline(in, line)) {
+        ++line_no;
+        const std::size_t hash = line.find('#');
+        if (hash != std::string::npos) { line.erase(hash); }
         std::istringstream ls(line);
         std::string tok;
-        ls >> tok;
+        if (!(ls >> tok)) { continue; }
         if (tok == ".i") {
-            ls >> h.num_inputs;
+            if (!(ls >> h.num_inputs)) { fail("bad .i line"); }
             have_i = true;
         } else if (tok == ".o") {
-            ls >> h.num_outputs;
+            if (!(ls >> h.num_outputs)) { fail("bad .o line"); }
             have_o = true;
+        } else if (tok == ".e") {
+            break;
+        } else if (tok[0] != '.') {
+            if (!have_i || !have_o) { fail("missing .i/.o header"); }
+            std::string st, nx, ocube;
+            if (!(ls >> st >> nx >> ocube)) { fail("bad transition row"); }
+            if (tok.size() != h.num_inputs) {
+                fail(".i " + std::to_string(h.num_inputs) +
+                     " does not match the row's input cube width " +
+                     std::to_string(tok.size()));
+            }
+            if (ocube.size() != h.num_outputs) {
+                fail(".o " + std::to_string(h.num_outputs) +
+                     " does not match the row's output cube width " +
+                     std::to_string(ocube.size()));
+            }
+            return h;
         }
     }
     if (!have_i || !have_o) {
         throw std::runtime_error("kiss: missing .i/.o header");
     }
-    return h;
+    throw std::runtime_error("kiss: no transitions");
 }
 
 } // namespace leq

@@ -42,8 +42,10 @@ read_kiss_string(const std::string& text, bdd_manager& mgr,
                  const std::vector<std::uint32_t>& output_vars);
 
 /// Interface dimensions scanned from a KISS2 header (.i / .o lines), used
-/// to allocate label variables before the full parse.  Throws
-/// std::runtime_error when either line is missing.
+/// to allocate label variables before the full parse.  The widths are
+/// checked against the first transition row's cubes.  Throws
+/// std::runtime_error when either line is missing, when a width does not
+/// match that row, or when the text has no transition row.
 struct kiss_header {
     std::size_t num_inputs = 0;
     std::size_t num_outputs = 0;

@@ -94,14 +94,16 @@ network read_blif(std::istream& in) {
                 flush_names();
                 if (tokens.size() < 3) { fail(".latch needs input and output"); }
                 // forms: .latch in out [init] | .latch in out type clock [init]
+                if (tokens.size() > 6) { fail(".latch has too many fields"); }
                 bool init = false;
-                const std::string& last = tokens.back();
-                if (tokens.size() > 3) {
-                    if (last == "1") {
-                        init = true;
-                    } else if (last == "2" || last == "3") {
-                        init = false; // don't care / unknown: choose 0
+                if (tokens.size() == 4 || tokens.size() == 6) {
+                    const std::string& value = tokens.back();
+                    if (value != "0" && value != "1" && value != "2" &&
+                        value != "3") {
+                        fail("bad .latch init value '" + value +
+                             "' (expected 0, 1, 2 or 3)");
                     }
+                    init = value == "1"; // 2/3 (don't care/unknown): choose 0
                 }
                 net.add_latch(tokens[1], tokens[2], init);
             } else if (head == ".end") {

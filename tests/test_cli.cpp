@@ -503,16 +503,21 @@ TEST(cli_solve, single_run_and_batch_agree_on_default_names) {
 
 TEST(cli_errors, malformed_input_is_a_job_error) {
     const std::string bad = temp_path("bad.kiss");
-    {
-        std::ofstream out(bad);
-        out << ".i 1\n.o 1\n"; // no transitions
+    // no transitions; a header width that no row has (checked before
+    // anything is sized from it)
+    for (const char* text :
+         {".i 1\n.o 1\n", ".i 99999999999\n.o 1\n.r a\n0 a a 1\n"}) {
+        {
+            std::ofstream out(bad);
+            out << text;
+        }
+        const cli_run r = run({"solve", bad, bad});
+        EXPECT_EQ(r.exit_code, 1);
+        const std::string line = first_line(r.out);
+        EXPECT_TRUE(valid_json_object(line)) << line;
+        EXPECT_EQ(raw_field(line, "status"), "\"error\"");
+        EXPECT_EQ(raw_field(line, "error").rfind("\"kiss:", 0), 0u) << line;
     }
-    const cli_run r = run({"solve", bad, bad});
-    EXPECT_EQ(r.exit_code, 1);
-    const std::string line = first_line(r.out);
-    EXPECT_TRUE(valid_json_object(line)) << line;
-    EXPECT_EQ(raw_field(line, "status"), "\"error\"");
-    EXPECT_NE(raw_field(line, "error"), "");
     std::remove(bad.c_str());
 }
 

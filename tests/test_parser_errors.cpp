@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace {
 
 using namespace leq;
@@ -70,6 +72,25 @@ TEST(blif_errors, bad_latch_line) {
 .end
 )";
     EXPECT_THROW((void)read_blif_string(text), std::runtime_error);
+    const auto with_latch = [](const char* latch) {
+        return std::string(".model bad\n.inputs xv0\n.outputs z\n") + latch +
+               "\n.names q z\n1 1\n.end\n";
+    };
+    // an init value outside 0-3 is an error, not a silent reset-to-0, in
+    // both forms that carry one
+    for (const char* latch : {".latch xv0 q 7", ".latch xv0 q re clk 7",
+                              ".latch xv0 q re clk 0 extra"}) {
+        try {
+            (void)read_blif_string(with_latch(latch));
+            ADD_FAILURE() << latch << " was accepted";
+        } catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string(e.what()).rfind("blif:4: ", 0), 0u)
+                << e.what();
+        }
+    }
+    // the 5-token form has no init field: its clock name is not one
+    EXPECT_FALSE(
+        read_blif_string(with_latch(".latch xv0 q re 1")).initial_state()[0]);
 }
 
 TEST(blif_errors, garbage_cube_characters) {
@@ -157,6 +178,16 @@ TEST(kiss_errors, truncated_transition_line) {
     EXPECT_THROW((void)parse(text, 1, 1), std::runtime_error);
 }
 
+TEST(kiss_errors, reset_state_without_transitions) {
+    const char* text = ".i 1\n.o 1\n.r s9\n0 a a 1\n1 a a 0\n";
+    try {
+        (void)parse(text, 1, 1);
+        ADD_FAILURE() << "unknown reset state was accepted";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "kiss: reset state 's9' has no transitions");
+    }
+}
+
 TEST(kiss_roundtrip, mealy_machine_survives) {
     const char* text = ".i 1\n.o 1\n.s 2\n.p 4\n.r s0\n"
                        "0 s0 s0 0\n1 s0 s1 1\n0 s1 s0 1\n1 s1 s1 0\n.e\n";
@@ -169,9 +200,27 @@ TEST(kiss_roundtrip, mealy_machine_survives) {
 }
 
 TEST(kiss_header, tolerates_leading_comments) {
-    const kiss_header h = read_kiss_header("# comment\n.i 3\n.o 2\n");
+    const kiss_header h =
+        read_kiss_header("# comment\n.i 3\n.o 2\n000 a a 00\n");
     EXPECT_EQ(h.num_inputs, 3u);
     EXPECT_EQ(h.num_outputs, 2u);
+}
+
+TEST(kiss_header, widths_must_match_the_first_row) {
+    // callers size vectors from the header, so an oversized width must be
+    // an error before anything is allocated from it
+    for (const char* text : {".i 99999999999\n.o 1\n000 a a 1\n",
+                             ".i 3\n.o 99999999999\n000 a a 1\n",
+                             ".i 3\n.o 1\n",
+                             ".i 3\n.o 1\n.e\n000 a a 1\n"}) {
+        try {
+            (void)read_kiss_header(text);
+            ADD_FAILURE() << text << " was accepted";
+        } catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string(e.what()).rfind("kiss:", 0), 0u)
+                << e.what();
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
