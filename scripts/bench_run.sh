@@ -24,7 +24,7 @@ update=0
 [ "${1:-}" = "--update-baseline" ] && update=1
 
 cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release -DBUILD_TESTING=OFF \
-      -DLEQ_BUILD_BENCH=OFF -DLEQ_BUILD_EXAMPLES=OFF >/dev/null
+      -DLEQ_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-bench -j --target leq_bench_run >/dev/null
 
 ./build-bench/leq_bench_run --out bench-current.json

@@ -8,7 +8,10 @@
 #      resolves to an existing file;
 #   3. check every flag in a README flag table (rows beginning | `--) is
 #      listed by `leq --help` — a deleted flag fails here instead of
-#      lingering in the docs.
+#      lingering in the docs;
+#   4. check every `leq_bench_*`, `leq_example_*` or `leq_test_*` name in
+#      README.md or docs/*.md is a target of the ./build tree — a deleted
+#      binary fails here instead of lingering in the docs.
 #
 # Usage: scripts/check_docs.sh   (expects ./build/leq to exist)
 set -euo pipefail
@@ -59,3 +62,17 @@ while IFS= read -r flag; do
 done < <(grep -o '^| `--[a-z-]*' README.md | sed 's/^| `//')
 [ "$status" -eq 0 ] || fail "README flag table drifted from leq --help"
 echo "== flags ok =="
+
+# ---- 4. documented binaries are build targets -------------------------------
+targets=$(cmake --build build --target help 2>&1) ||
+    fail "cmake --build build --target help failed"
+status=0
+while IFS= read -r name; do
+    if ! grep -qE -- "(^|[^a-z0-9_])$name([^a-z0-9_]|\$)" <<<"$targets"; then
+        echo "check_docs: the docs name $name, which is not a build target" >&2
+        status=1
+    fi
+done < <(grep -ohE 'leq_(bench|example|test)_[a-z0-9_]+' README.md docs/*.md |
+         sort -u)
+[ "$status" -eq 0 ] || fail "docs name binaries the build no longer makes"
+echo "== binaries ok =="

@@ -1,6 +1,6 @@
 /// \file bench.cpp
-/// \brief Pinned benchmark workloads, report (de)serialization and the
-/// regression gate.
+/// \brief Pinned benchmark workloads, report (de)serialization, the
+/// regression gate and the Table 1 report.
 
 #include "cli/bench.hpp"
 
@@ -11,6 +11,7 @@
 #include "eq/kiss_flow.hpp"
 #include "eq/problem.hpp"
 #include "eq/solver.hpp"
+#include "eq/verify.hpp"
 #include "gen/scenario.hpp"
 #include "img/image.hpp"
 #include "net/blif.hpp"
@@ -19,9 +20,10 @@
 #include "net/netbdd.hpp"
 
 #include <cctype>
-#include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <map>
+#include <ostream>
 #include <stdexcept>
 #include <utility>
 
@@ -70,17 +72,15 @@ image_options strategy_options(reach_strategy strategy) {
     return img;
 }
 
-/// Solve one scaled gen/ scenario with the partitioned flow.
-bench_row run_solve_scenario(const std::string& id, scenario_family family,
-                             std::uint32_t seed, std::uint32_t scale) {
-    bench_row row;
-    row.workload = id;
-    const scenario s = make_scenario(family, seed, scale);
-    const equation_problem problem(s.fixed, s.spec, s.num_choice_inputs);
-    const solve_result result = solve_partitioned(problem);
+/// The metric set every solve row reports: the solver's state and image
+/// counts, then the manager counters.  A solve that gave up has no row.
+bench_row solve_row(const std::string& id, const equation_problem& problem,
+                    const solve_result& result) {
     if (result.status != solve_status::ok) {
         throw std::runtime_error("bench workload " + id + " gave up");
     }
+    bench_row row;
+    row.workload = id;
     add(row, "subset_states",
         static_cast<double>(result.subset_states_explored));
     add(row, "csf_states", static_cast<double>(result.csf_states));
@@ -89,22 +89,48 @@ bench_row run_solve_scenario(const std::string& id, scenario_family family,
     return row;
 }
 
+/// Solve one scaled gen/ scenario with the partitioned flow.
+bench_row run_solve_scenario(const std::string& id, scenario_family family,
+                             std::uint32_t seed, std::uint32_t scale) {
+    const scenario s = make_scenario(family, seed, scale);
+    const equation_problem problem(s.fixed, s.spec, s.num_choice_inputs);
+    return solve_row(id, problem, solve_partitioned(problem));
+}
+
 /// Solve the corpus KISS pair through the FSM-level flow.
 bench_row run_solve_kiss(const std::string& id, const std::string& f_kiss,
                          const std::string& s_kiss) {
-    bench_row row;
-    row.workload = id;
     const kiss_instance inst = build_kiss_instance(f_kiss, s_kiss);
-    const solve_result result = solve_partitioned(*inst.problem);
-    if (result.status != solve_status::ok) {
-        throw std::runtime_error("bench workload " + id + " gave up");
+    return solve_row(id, *inst.problem, solve_partitioned(*inst.problem));
+}
+
+/// The paper's Table 1 row `name` from make_table1_suite().
+table1_instance table1_circuit(const std::string& name) {
+    for (table1_instance& inst : make_table1_suite()) {
+        if (inst.name == name) { return std::move(inst); }
     }
-    add(row, "subset_states",
-        static_cast<double>(result.subset_states_explored));
-    add(row, "csf_states", static_cast<double>(result.csf_states));
-    add(row, "images", static_cast<double>(result.stats.images));
-    add_manager_metrics(row, inst.problem->mgr());
-    return row;
+    throw std::invalid_argument("no Table 1 row '" + name + "'");
+}
+
+/// The paper's Table 1 equation: F is the circuit with its last
+/// `x_latches` latches split off (they form the particular solution X_P),
+/// S is the whole circuit.
+struct table1_equation {
+    split_result split;
+    equation_problem problem;
+
+    explicit table1_equation(const table1_instance& inst)
+        : split(split_last_latches(inst.circuit, inst.x_latches)),
+          problem(split.fixed, inst.circuit) {}
+};
+
+/// Solve one Table 1 row with default options, in either flow.
+bench_row run_table1(const std::string& id, const std::string& name,
+                     bool monolithic) {
+    const table1_equation eq(table1_circuit(name));
+    return solve_row(id, eq.problem,
+                     monolithic ? solve_monolithic(eq.problem)
+                                : solve_partitioned(eq.problem));
 }
 
 network reach_circuit() {
@@ -316,6 +342,9 @@ std::vector<std::string> bench_workload_names() {
         "saturation/reach_lfsr14/before",
         "saturation/reach_lfsr14/after",
         "reach/wide_frontier",
+        "table1/s349",
+        "table1/s444",
+        "table1/s298/monolithic",
     };
 }
 
@@ -365,23 +394,18 @@ bench_row run_bench_workload(const std::string& workload) {
     if (workload == "reach/wide_frontier") {
         return run_reach(workload, wide_frontier_circuit());
     }
-    throw std::invalid_argument("unknown bench workload '" + workload + "'");
-}
-
-bench_report run_bench(const std::string& filter) {
-    bench_report report;
-    for (const std::string& name : bench_workload_names()) {
-        if (!filter.empty() && name.find(filter) == std::string::npos) {
-            continue;
-        }
-        const auto start = std::chrono::steady_clock::now();
-        bench_row row = run_bench_workload(name);
-        const auto stop = std::chrono::steady_clock::now();
-        row.seconds =
-            std::chrono::duration<double>(stop - start).count();
-        report.rows.push_back(std::move(row));
+    // the paper's own experiment: the two largest Table 1 rows that run in
+    // seconds, and the monolithic baseline on the row where it still does
+    if (workload == "table1/s349") {
+        return run_table1(workload, "s349", false);
     }
-    return report;
+    if (workload == "table1/s444") {
+        return run_table1(workload, "s444", false);
+    }
+    if (workload == "table1/s298/monolithic") {
+        return run_table1(workload, "s298", true);
+    }
+    throw std::invalid_argument("unknown bench workload '" + workload + "'");
 }
 
 // ---------------------------------------------------------------------------
@@ -764,6 +788,110 @@ std::string bench_delta_table(const bench_report& base,
         out += "| " + workload + " | _new workload_ | | | |\n";
     }
     return out;
+}
+
+// ---------------------------------------------------------------------------
+// the Table 1 report
+// ---------------------------------------------------------------------------
+
+bool table1_row::checks_ok() const {
+    return partitioned != solve_status::ok ||
+           (particular_contained && composition_contained);
+}
+
+table1_row run_table1_row(const table1_instance& instance,
+                          double time_limit_seconds) {
+    const network& circuit = instance.circuit;
+    table1_row row;
+    row.name = instance.name;
+    row.dims = std::to_string(circuit.num_inputs()) + "/" +
+               std::to_string(circuit.num_outputs()) + "/" +
+               std::to_string(circuit.num_latches());
+    row.latches = std::to_string(instance.f_latches) + "/" +
+                  std::to_string(instance.x_latches);
+    const table1_equation eq(instance);
+    solve_options options;
+    options.time_limit_seconds = time_limit_seconds;
+    const solve_result part = solve_partitioned(eq.problem, options);
+    const solve_result mono = solve_monolithic(eq.problem, options);
+    row.partitioned = part.status;
+    row.partitioned_seconds = part.seconds;
+    row.monolithic = mono.status;
+    row.monolithic_seconds = mono.seconds;
+    if (part.status == solve_status::ok) {
+        row.csf_states = part.csf_states;
+        row.particular_contained = verify_particular_contained(
+            eq.problem, *part.csf, eq.split.part.initial_state());
+        row.composition_contained =
+            verify_composition_contained(eq.problem, *part.csf);
+    }
+    return row;
+}
+
+namespace {
+
+std::string format_seconds(solve_status status, double seconds) {
+    if (status == solve_status::timeout) { return "CNC"; }
+    if (status == solve_status::state_limit) { return "SLIM"; }
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.2f", seconds);
+    return buf;
+}
+
+std::string table1_line(const std::string& name, const std::string& dims,
+                        const std::string& latches, const std::string& states,
+                        const std::string& part, const std::string& mono,
+                        const std::string& ratio, const std::string& checks) {
+    char buf[256];
+    std::snprintf(buf, sizeof buf, "%-8s %-10s %-8s %12s %10s %10s %8s  %s\n",
+                  name.c_str(), dims.c_str(), latches.c_str(), states.c_str(),
+                  part.c_str(), mono.c_str(), ratio.c_str(), checks.c_str());
+    return buf;
+}
+
+} // namespace
+
+int write_table1_report(std::ostream& out,
+                        const std::vector<table1_row>& rows,
+                        double time_limit_seconds) {
+    out << "Table 1: partitioned vs monolithic CSF computation (time limit "
+        << (time_limit_seconds > 0 ? json_number(time_limit_seconds) + "s"
+                                   : std::string("none"))
+        << " per flow)\n\n"
+        << table1_line("Name", "i/o/cs", "Fcs/Xcs", "States(X)", "Part,s",
+                       "Mono,s", "Ratio", "Checks")
+        << std::string(88, '-') << "\n";
+    bool ok = true;
+    for (const table1_row& row : rows) {
+        const bool solved = row.partitioned == solve_status::ok;
+        std::string checks = "-";
+        if (solved) {
+            checks = std::string(row.particular_contained ? "Xp<=X ok"
+                                                          : "Xp<=X FAIL") +
+                     (row.composition_contained ? ", FX<=S ok"
+                                                : ", FX<=S FAIL");
+        }
+        std::string ratio = "-";
+        if (solved && row.monolithic == solve_status::ok &&
+            row.partitioned_seconds > 0) {
+            char buf[32];
+            std::snprintf(buf, sizeof buf, "%.1f",
+                          row.monolithic_seconds / row.partitioned_seconds);
+            ratio = buf;
+        }
+        out << table1_line(
+            row.name, row.dims, row.latches,
+            solved ? std::to_string(row.csf_states) : "-",
+            format_seconds(row.partitioned, row.partitioned_seconds),
+            format_seconds(row.monolithic, row.monolithic_seconds), ratio,
+            checks);
+        ok = ok && row.checks_ok();
+    }
+    out << "\nPaper's reference (1.6GHz, MCNC originals): s510 54st "
+           "0.3/0.2s; s208 497st 0.4/0.8s; s298 553st 0.9/2.7s;\n"
+           "s349 2626st 37.7/810.3s (21.5x); s444 17730st 25.9s/CNC; "
+           "s526 141829st 276.7s/CNC\n";
+    return ok ? 0 : 1;
 }
 
 // ---------------------------------------------------------------------------

@@ -23,11 +23,17 @@
 /// The `saturation/*` rows are the one before/after story the trajectory
 /// still carries: the same reachability workload under the textbook bfs
 /// fixpoint and under the saturation worklist.  Every other row runs the
-/// one memory discipline the solver ships.
+/// one memory discipline the solver ships.  The `table1/*` rows are the
+/// paper's own experiment; the full Table 1 comparison, monolithic flow
+/// and containment checks included, is the `leq_bench_run --table1`
+/// report below.
 #pragma once
 
 #include "bdd/bdd.hpp"
+#include "eq/solver.hpp"
+#include "net/generator.hpp"
 
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -78,10 +84,8 @@ struct metric_policy {
 [[nodiscard]] std::vector<std::string> bench_workload_names();
 
 /// Run one workload by id; throws std::invalid_argument for unknown ids.
+/// The row's `seconds` is left at 0: the caller times the call.
 [[nodiscard]] bench_row run_bench_workload(const std::string& workload);
-
-/// Run every workload whose id contains `filter` (all when empty).
-[[nodiscard]] bench_report run_bench(const std::string& filter = "");
 
 /// Serialize; byte-deterministic for equal reports.
 [[nodiscard]] std::string bench_report_to_json(const bench_report& report);
@@ -123,6 +127,38 @@ compare_bench_reports(const bench_report& base, const bench_report& current);
 /// Purely presentational — the gate itself is `compare_bench_reports`.
 [[nodiscard]] std::string bench_delta_table(const bench_report& base,
                                             const bench_report& current);
+
+/// One line of the paper's Table 1: the partitioned and the monolithic
+/// flow on one latch-split circuit, and the two containment checks on the
+/// partitioned CSF (run only when that flow completed).
+struct table1_row {
+    std::string name;    ///< paper's benchmark name (s510, ...)
+    std::string dims;    ///< i/o/cs of the whole circuit
+    std::string latches; ///< Fcs/Xcs: latches kept in F / split into X
+    solve_status partitioned = solve_status::ok;
+    double partitioned_seconds = 0.0;
+    solve_status monolithic = solve_status::ok;
+    double monolithic_seconds = 0.0;
+    std::size_t csf_states = 0;
+    bool particular_contained = false;  ///< X_P <= X
+    bool composition_contained = false; ///< F.X <= S
+
+    /// False when a containment check ran and failed.
+    [[nodiscard]] bool checks_ok() const;
+};
+
+/// Solve `instance` with both flows under `time_limit_seconds` each
+/// (0 = unlimited) and check the partitioned CSF.
+[[nodiscard]] table1_row run_table1_row(const table1_instance& instance,
+                                        double time_limit_seconds);
+
+/// Print the report: header, one line per row in the paper's columns (a
+/// flow that gave up reads CNC at the time limit, SLIM at the state
+/// limit), and the paper's reference numbers.  Returns the exit status of
+/// `leq_bench_run --table1`: 0 when every check held, 1 otherwise.
+[[nodiscard]] int write_table1_report(std::ostream& out,
+                                      const std::vector<table1_row>& rows,
+                                      double time_limit_seconds);
 
 /// A corpus file the benchmark derives its inputs from, regenerated
 /// deterministically.  The checked-in copies under bench/corpus/ are

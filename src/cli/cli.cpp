@@ -4,9 +4,10 @@
 #include "cli/cli.hpp"
 
 #include "cli/batch.hpp"
+#include "cli/count.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <cstdint>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
@@ -97,19 +98,12 @@ int parse_flags(const std::vector<std::string>& args, parsed_args& parsed,
                 err << "leq: " << flag << " needs a value\n";
                 return false;
             }
-            try {
-                // stoul would wrap "-1" to 2^64-1: digits only
-                if (v->empty() ||
-                    std::isdigit(static_cast<unsigned char>((*v)[0])) == 0) {
-                    throw std::invalid_argument(*v);
-                }
-                std::size_t used = 0;
-                dst = std::stoul(*v, &used);
-                if (used != v->size()) { throw std::invalid_argument(*v); }
-            } catch (const std::exception&) {
+            const auto count = parse_count(*v, SIZE_MAX);
+            if (!count.has_value()) {
                 err << "leq: bad value for " << flag << ": '" << *v << "'\n";
                 return false;
             }
+            dst = static_cast<std::size_t>(*count);
             return true;
         };
 

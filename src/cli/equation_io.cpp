@@ -4,11 +4,12 @@
 #include "cli/equation_io.hpp"
 
 #include "automata/kiss.hpp"
+#include "cli/count.hpp"
 #include "eq/kiss_flow.hpp"
 #include "gen/scenario.hpp"
 #include "net/blif.hpp"
 
-#include <cctype>
+#include <cstdint>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -121,23 +122,14 @@ generated_pair make_gen_pair(const std::string& token) {
         throw std::runtime_error("not a gen: spec: '" + token + "'");
     }
     std::string family_name = token.substr(4);
-    // digits only: stoul would wrap "-1" instead of rejecting it
     const auto parse_u32 = [&token](const std::string& text,
                                     const char* what) -> std::uint32_t {
-        try {
-            if (text.empty() ||
-                std::isdigit(static_cast<unsigned char>(text[0])) == 0) {
-                throw std::invalid_argument(text);
-            }
-            std::size_t used = 0;
-            const auto value =
-                static_cast<std::uint32_t>(std::stoul(text, &used));
-            if (used != text.size()) { throw std::invalid_argument(text); }
-            return value;
-        } catch (const std::exception&) {
+        const auto value = parse_count(text, UINT32_MAX);
+        if (!value.has_value()) {
             throw std::runtime_error(std::string("bad ") + what + " in '" +
                                      token + "'");
         }
+        return static_cast<std::uint32_t>(*value);
     };
     std::uint32_t seed = 0;
     std::uint32_t scale = 1;

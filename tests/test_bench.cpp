@@ -2,8 +2,9 @@
 /// \brief The pinned benchmark trajectory stays trustworthy: workloads are
 /// deterministic, the JSON schema round-trips, the compare gate fails on
 /// genuine regressions (and only those), the checked-in corpus is
-/// byte-identical to what the generators produce, and the checked-in
-/// BENCH_PR10.json baseline still parses with its before/after rows.
+/// byte-identical to what the generators produce, the checked-in
+/// BENCH_PR10.json baseline still parses with its before/after and Table 1
+/// rows, and the Table 1 report fails its run when a check fails.
 ///
 /// Compiled with LEQ_SOURCE_DIR pointing at the repo root so the suite can
 /// read bench/corpus/ and BENCH_PR10.json.
@@ -11,6 +12,7 @@
 #include "cli/bench.hpp"
 #include "gen/scenario.hpp"
 #include "net/blif.hpp"
+#include "net/generator.hpp"
 
 #include <gtest/gtest.h>
 
@@ -244,7 +246,8 @@ TEST(bench_workloads, ids_are_stable_and_unknown_ids_throw) {
           "saturation/reach_mix26/before", "saturation/reach_mix26/after",
           "saturation/reach_chain/before", "saturation/reach_chain/after",
           "saturation/reach_lfsr14/before", "saturation/reach_lfsr14/after",
-          "reach/wide_frontier"}) {
+          "reach/wide_frontier", "table1/s349", "table1/s444",
+          "table1/s298/monolithic"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), expected),
                   names.end())
             << expected;
@@ -389,6 +392,56 @@ TEST(bench_artifacts, checked_in_baseline_parses_and_pins_the_wins) {
     EXPECT_LT(misses("saturation/reach_lfsr14/after") * 1.5,
               misses("saturation/reach_lfsr14/before"))
         << "the baseline no longer demonstrates the LFSR saturation win";
+
+    // the paper's Table 1 rows carry the CSF sizes `--table1` prints, and
+    // the monolithic baseline agrees with the partitioned flow on s298
+    EXPECT_DOUBLE_EQ(metric("table1/s349", "csf_states"), 4069.0);
+    EXPECT_DOUBLE_EQ(metric("table1/s444", "csf_states"), 29377.0);
+    EXPECT_DOUBLE_EQ(metric("table1/s298/monolithic", "csf_states"), 640.0);
+}
+
+// ---------------------------------------------------------------------------
+// the Table 1 report
+// ---------------------------------------------------------------------------
+
+TEST(bench_table1, report_checks_hold_and_a_failed_check_fails_the_run) {
+    // s510 alone: the largest rows cost minutes under the monolithic flow
+    std::vector<table1_row> rows;
+    for (const table1_instance& inst : make_table1_suite()) {
+        if (inst.name == "s510") { rows.push_back(run_table1_row(inst, 60)); }
+    }
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].partitioned, solve_status::ok);
+    EXPECT_EQ(rows[0].monolithic, solve_status::ok);
+    EXPECT_EQ(rows[0].csf_states, 52u);
+
+    std::ostringstream out;
+    EXPECT_EQ(write_table1_report(out, rows, 60), 0) << out.str();
+    EXPECT_NE(out.str().find("Xp<=X ok, FX<=S ok"), std::string::npos)
+        << out.str();
+    EXPECT_NE(out.str().find("s510     19/7/6     3/3"), std::string::npos)
+        << out.str();
+
+    for (const bool particular : {false, true}) {
+        std::vector<table1_row> failed = rows;
+        (particular ? failed[0].particular_contained
+                    : failed[0].composition_contained) = false;
+        std::ostringstream failed_out;
+        EXPECT_EQ(write_table1_report(failed_out, failed, 60), 1);
+        EXPECT_NE(failed_out.str().find(particular ? "Xp<=X FAIL"
+                                                   : "FX<=S FAIL"),
+                  std::string::npos)
+            << failed_out.str();
+    }
+
+    // a flow that gave up reads CNC and runs no check: not a failure
+    std::vector<table1_row> gave_up = rows;
+    gave_up[0].partitioned = solve_status::timeout;
+    gave_up[0].particular_contained = false;
+    std::ostringstream gave_up_out;
+    EXPECT_EQ(write_table1_report(gave_up_out, gave_up, 60), 0);
+    EXPECT_NE(gave_up_out.str().find("CNC"), std::string::npos)
+        << gave_up_out.str();
 }
 
 // ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@
 #include "cli/cli.hpp"
 
 #include "cli/batch.hpp"
+#include "cli/count.hpp"
 #include "cli/json.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -471,6 +473,21 @@ TEST(cli_errors, numeric_flags_reject_trailing_garbage) {
     EXPECT_EQ(run({"solve", "--cluster-limit", "-1"}).exit_code, 2);
     EXPECT_EQ(run({"solve", "--time-limit", "-5"}).exit_code, 2);
     EXPECT_EQ(run({"solve", "gen:counter:-1"}).exit_code, 3);
+    // a seed is 32 bits: a cast would solve seed 1 under this label
+    EXPECT_EQ(run({"solve", "gen:counter:4294967297"}).exit_code, 3);
+}
+
+TEST(cli_count, digits_only_and_range_checked) {
+    EXPECT_EQ(parse_count("0"), 0u);
+    EXPECT_EQ(parse_count("42"), 42u);
+    EXPECT_EQ(parse_count("18446744073709551615"), UINT64_MAX);
+    EXPECT_EQ(parse_count("4294967295", UINT32_MAX), UINT32_MAX);
+    // what std::stoul would wrap, skip or truncate
+    for (const char* bad : {"", "-1", "+1", " 1", "1 ", "0x10", "1e3", "7abc",
+                            "18446744073709551616"}) {
+        EXPECT_FALSE(parse_count(bad).has_value()) << "'" << bad << "'";
+    }
+    EXPECT_FALSE(parse_count("4294967296", UINT32_MAX).has_value());
 }
 
 TEST(cli_errors, help_is_not_an_error) {

@@ -7,15 +7,24 @@
 ///
 ///   leq_bench_run [--filter SUBSTR] [--repeat N] [--out FILE]
 ///       Run the pinned workloads (optionally only those whose id contains
-///       SUBSTR) and write the leq-bench-v1 JSON report to FILE (stdout by
-///       default).  Progress goes to stderr.  With --repeat N each workload
-///       runs N times and reports the median seconds (counters come from
-///       the first run — they are deterministic, repetition only steadies
-///       the wall clock); use --filter + --repeat to profile one hot
-///       workload without paying for the full sweep.
+///       SUBSTR; exit 2 when none does) and write the leq-bench-v1 JSON
+///       report to FILE (stdout by default).  Progress goes to stderr.
+///       With --repeat N each workload runs N times and reports the median
+///       seconds (counters come from the first run — they are
+///       deterministic, repetition only steadies the wall clock); use
+///       --filter + --repeat to profile one hot workload without paying
+///       for the full sweep.
 ///
 ///   leq_bench_run --list
 ///       Print the pinned workload ids, one per line.
+///
+///   leq_bench_run --table1 [SECONDS]
+///       Print the paper's Table 1: the partitioned and the monolithic flow
+///       on every make_table1_suite() row, each flow limited to SECONDS
+///       (default 120), and the two containment checks on the partitioned
+///       CSF.  Exit 1 when a check fails.  Informational: the monolithic
+///       flow needs minutes on the larger rows, so CI never runs it; the
+///       gated `table1/*` rows cover the paper's workload there.
 ///
 ///   leq_bench_run --compare BASELINE CURRENT
 ///       Gate CURRENT against BASELINE (two report files).  Exit 0 when no
@@ -40,8 +49,10 @@
 /// push and refuses accidental movement.
 
 #include "cli/bench.hpp"
+#include "cli/count.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
 #include <fstream>
 #include <iostream>
@@ -56,6 +67,7 @@ int usage(std::ostream& err) {
     err << "usage: leq_bench_run [--filter SUBSTR] [--repeat N] "
            "[--out FILE]\n"
         << "       leq_bench_run --list\n"
+        << "       leq_bench_run --table1 [SECONDS]\n"
         << "       leq_bench_run --compare BASELINE CURRENT\n"
         << "       leq_bench_run --delta BASELINE CURRENT\n"
         << "       leq_bench_run --write-corpus DIR\n";
@@ -72,40 +84,51 @@ std::string slurp(const std::string& path) {
     return text.str();
 }
 
+/// Wall-clock seconds of one run of `workload`, and its row.
+leq::bench_row timed_workload(const std::string& workload) {
+    const auto start = std::chrono::steady_clock::now();
+    leq::bench_row row = leq::run_bench_workload(workload);
+    const auto stop = std::chrono::steady_clock::now();
+    row.seconds = std::chrono::duration<double>(stop - start).count();
+    return row;
+}
+
 int run_mode(const std::string& filter, std::size_t repeat,
              const std::string& out_path) {
-    leq::bench_report report;
+    std::vector<std::string> names;
     for (const std::string& name : leq::bench_workload_names()) {
-        if (!filter.empty() && name.find(filter) == std::string::npos) {
-            continue;
+        if (name.find(filter) != std::string::npos) {
+            names.push_back(name);
         }
+    }
+    if (names.empty()) {
+        std::cerr << "leq_bench_run: no workload id contains '" << filter
+                  << "' (--list)\n";
+        return 2;
+    }
+    leq::bench_report report;
+    for (const std::string& name : names) {
         std::cerr << "bench: " << name << "..." << std::flush;
-        leq::bench_report one = leq::run_bench(name);
-        if (one.rows.size() != 1) {
-            std::cerr << " filter error\n";
-            return 1;
-        }
+        leq::bench_row row = timed_workload(name);
         if (repeat > 1) {
             // counters are deterministic — keep the first run's row and
             // only re-measure the wall clock, reporting the median
-            std::vector<double> seconds{one.rows.front().seconds};
+            std::vector<double> seconds{row.seconds};
             for (std::size_t r = 1; r < repeat; ++r) {
-                leq::bench_report again = leq::run_bench(name);
-                seconds.push_back(again.rows.front().seconds);
+                seconds.push_back(timed_workload(name).seconds);
             }
             std::sort(seconds.begin(), seconds.end());
             const std::size_t mid = seconds.size() / 2;
-            one.rows.front().seconds =
-                seconds.size() % 2 == 1
-                    ? seconds[mid]
-                    : (seconds[mid - 1] + seconds[mid]) / 2.0;
+            row.seconds = seconds.size() % 2 == 1
+                              ? seconds[mid]
+                              : (seconds[mid - 1] + seconds[mid]) / 2.0;
         }
-        std::cerr << " " << one.rows.front().seconds << "s"
+        std::cerr << " " << row.seconds << "s"
                   << (repeat > 1
                           ? " (median of " + std::to_string(repeat) + ")"
                           : "")
                   << "\n";
-        report.rows.push_back(std::move(one.rows.front()));
+        report.rows.push_back(std::move(row));
     }
     const std::string json = leq::bench_report_to_json(report);
     if (out_path.empty()) {
@@ -121,6 +144,16 @@ int run_mode(const std::string& filter, std::size_t repeat,
         std::cerr << "bench: wrote " << out_path << "\n";
     }
     return 0;
+}
+
+int table1_mode(double time_limit_seconds) {
+    std::vector<leq::table1_row> rows;
+    for (const leq::table1_instance& inst : leq::make_table1_suite()) {
+        std::cerr << "table1: " << inst.name << "..." << std::flush;
+        rows.push_back(leq::run_table1_row(inst, time_limit_seconds));
+        std::cerr << " done\n";
+    }
+    return leq::write_table1_report(std::cout, rows, time_limit_seconds);
 }
 
 int compare_mode(const std::string& base_path,
@@ -195,18 +228,34 @@ int main(int argc, char** argv) {
                 }
                 return delta_mode(args[k + 1], args[k + 2]);
             }
+            if (arg == "--table1") {
+                double limit = 120.0;
+                if (k + 1 < args.size()) {
+                    const std::string& v = args[k + 1];
+                    std::size_t used = 0;
+                    try {
+                        limit = std::stod(v, &used);
+                    } catch (const std::exception&) {
+                        used = 0;
+                    }
+                    if (used != v.size() || !(limit >= 0)) {
+                        throw std::runtime_error(
+                            "--table1 needs a time limit in seconds >= 0");
+                    }
+                }
+                return table1_mode(limit);
+            }
             if (arg == "--write-corpus") {
                 return write_corpus_mode(value("--write-corpus"));
             }
             if (arg == "--filter") {
                 filter = value("--filter");
             } else if (arg == "--repeat") {
-                const std::string& v = value("--repeat");
-                std::size_t end = 0;
-                repeat = std::stoul(v, &end);
-                if (end != v.size() || repeat == 0) {
+                const auto count = leq::parse_count(value("--repeat"));
+                if (!count.has_value() || *count == 0) {
                     throw std::runtime_error("--repeat needs a count >= 1");
                 }
+                repeat = static_cast<std::size_t>(*count);
             } else if (arg == "--out") {
                 out_path = value("--out");
             } else if (arg == "--help" || arg == "-h") {

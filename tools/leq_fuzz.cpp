@@ -11,8 +11,10 @@
 /// Exit status: 0 all scenarios clean, 1 failures found (reproducers
 /// written when --out is given), 2 usage error.
 
+#include "cli/count.hpp"
 #include "gen/fuzz.hpp"
 
+#include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -39,7 +41,7 @@ int usage() {
 }
 
 /// Fill `options` from argv.  Returns an exit code to bail out with, or -1
-/// to proceed.  std::stoul/std::stod throw on malformed numbers; the caller
+/// to proceed.  std::stod throws on a malformed --time-limit; the caller
 /// maps that to the usage exit code.
 int parse_args(int argc, char** argv, fuzz_options& options, bool& quiet) {
     for (int k = 1; k < argc; ++k) {
@@ -58,14 +60,22 @@ int parse_args(int argc, char** argv, fuzz_options& options, bool& quiet) {
             quiet = true;
             continue;
         }
-        if (arg == "--seeds") {
+        if (arg == "--seeds" || arg == "--seed-base") {
             const char* v = value();
             if (v == nullptr) { return usage(); }
-            options.seeds = std::stoul(v);
-        } else if (arg == "--seed-base") {
-            const char* v = value();
-            if (v == nullptr) { return usage(); }
-            options.seed_base = static_cast<std::uint32_t>(std::stoul(v));
+            // seeds are 32-bit, so neither the count nor the base can
+            // exceed UINT32_MAX
+            const auto count = parse_count(v, UINT32_MAX);
+            if (!count.has_value()) {
+                std::cerr << "leq_fuzz: bad value for " << arg << ": '" << v
+                          << "'\n";
+                return usage();
+            }
+            if (arg == "--seeds") {
+                options.seeds = static_cast<std::size_t>(*count);
+            } else {
+                options.seed_base = static_cast<std::uint32_t>(*count);
+            }
         } else if (arg == "--family") {
             const char* v = value();
             if (v == nullptr) { return usage(); }
