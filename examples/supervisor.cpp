@@ -13,8 +13,8 @@
 /// meets the spec; a concrete implementation is then extracted greedily.
 
 #include "automata/automaton_io.hpp"
-#include "eq/extract.hpp"
 #include "eq/solver.hpp"
+#include "eq/subsolution.hpp"
 #include "eq/verify.hpp"
 #include "net/blif.hpp"
 

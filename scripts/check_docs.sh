@@ -6,19 +6,25 @@
 #      renamed flag, moved example, or broken subcommand fails here;
 #   2. check every relative markdown link in README.md and docs/*.md
 #      resolves to an existing file;
-#   3. check every flag in a README flag table (rows beginning | `--) is
-#      listed by `leq --help` — a deleted flag fails here instead of
-#      lingering in the docs;
+#   3. check every `--flag` inside inline code (a backticked span outside
+#      fenced blocks) in README.md or docs/*.md is listed by the usage text
+#      of `leq`, `leq_fuzz`, `leq_bench_run` or scripts/bench_run.sh — a
+#      deleted flag fails here instead of lingering in the docs.  Spans
+#      quoting cmake or ctest are skipped: those flags are not ours;
 #   4. check every `leq_bench_*`, `leq_example_*` or `leq_test_*` name in
 #      README.md or docs/*.md is a target of the ./build tree — a deleted
 #      binary fails here instead of lingering in the docs.
 #
-# Usage: scripts/check_docs.sh   (expects ./build/leq to exist)
+# Usage: scripts/check_docs.sh   (expects ./build/leq, ./build/leq_fuzz and
+#        ./build/leq_bench_run to exist)
 set -euo pipefail
 
 fail() { echo "check_docs: $*" >&2; exit 1; }
 
-[ -x build/leq ] || fail "./build/leq not built (cmake --build build first)"
+for tool in leq leq_fuzz leq_bench_run; do
+    [ -x "build/$tool" ] ||
+        fail "./build/$tool not built (cmake --build build first)"
+done
 
 # ---- 1. run the quickstart verbatim -----------------------------------------
 quickstart=$(awk '/<!-- quickstart:begin -->/,/<!-- quickstart:end -->/' \
@@ -50,17 +56,23 @@ done
 [ "$status" -eq 0 ] || fail "broken markdown links"
 echo "== links ok =="
 
-# ---- 3. README flag tables match leq --help ---------------------------------
-help=$(build/leq --help 2>&1) || fail "leq --help failed"
+# ---- 3. documented flags match the tools' usage text -----------------------
+usage=$( { build/leq --help; build/leq_fuzz --help; build/leq_bench_run --help
+           sed -n '2,/^set -/p' scripts/bench_run.sh; } 2>&1) ||
+    fail "a tool's --help failed"
 status=0
-while IFS= read -r flag; do
-    if ! grep -qE -- "(^|[^a-z-])$flag([^a-z-]|\$)" <<<"$help"; then
-        echo "check_docs: README.md documents $flag, which leq --help" \
-             "does not list" >&2
-        status=1
-    fi
-done < <(grep -o '^| `--[a-z-]*' README.md | sed 's/^| `//')
-[ "$status" -eq 0 ] || fail "README flag table drifted from leq --help"
+for doc in README.md docs/*.md; do
+    while IFS= read -r flag; do
+        if ! grep -qE -- "(^|[^a-z-])$flag([^a-z-]|\$)" <<<"$usage"; then
+            echo "check_docs: $doc documents $flag, which no tool's usage" \
+                 "text lists" >&2
+            status=1
+        fi
+    done < <(awk '/^```/ { fenced = !fenced; next } !fenced' "$doc" |
+             grep -o '`[^`]*`' | grep -vE '^`(cmake|ctest) ' |
+             grep -o -- '--[a-z][a-z0-9-]*' | sort -u || true)
+done
+[ "$status" -eq 0 ] || fail "docs name flags the tools no longer take"
 echo "== flags ok =="
 
 # ---- 4. documented binaries are build targets -------------------------------

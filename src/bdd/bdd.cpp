@@ -18,8 +18,8 @@ namespace leq {
 
 const char* bdd_op_name(std::size_t k) {
     static const char* const names[bdd_num_ops] = {
-        "and",     "xor",      "ite",       "exists",   "and_exists",
-        "support", "cofactor", "constrain", "restrict", "permute"};
+        "and",        "xor",     "ite",      "exists",
+        "and_exists", "support", "cofactor", "permute"};
     return k < bdd_num_ops ? names[k] : "?";
 }
 

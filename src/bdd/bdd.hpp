@@ -7,7 +7,7 @@
 /// grows geometrically with the unique table (see bdd_manager_options),
 /// mark-and-sweep garbage collection driven by externally held handles,
 /// quantification, relational-product (and-exists), variable permutation,
-/// composition and in-place dynamic reordering.
+/// cofactors and in-place dynamic reordering.
 ///
 /// Design notes:
 ///  * **Handles are tagged edges.**  A reference is a 32-bit word
@@ -41,11 +41,12 @@
 ///  * Variables are identified by a stable id; the manager maps ids to
 ///    levels so the order can differ from creation order.  The
 ///    language-equation solver pins the (u,v) block at the top of the order
-///    and chooses it up front with set_var_order(); sifting-based dynamic
-///    reordering (reorder_sift and friends) is offered for the substrate
-///    benchmarks and standalone use.  Reordering rewrites node *contents*
-///    in place, preserving the regular-then-edge invariant, so indices — and
-///    therefore all outstanding handles — stay valid.
+///    and chooses it up front with set_var_order(); no solver path calls
+///    sifting-based dynamic reordering (reorder_sift and friends) yet, so
+///    only its tests and standalone use of the package exercise it.
+///    Reordering rewrites node *contents* in place, preserving the
+///    regular-then-edge invariant, so indices — and therefore all
+///    outstanding handles — stay valid.
 ///  * **Checked builds (-DLEQ_CHECKED=ON).**  The manager is single-threaded
 ///    by design, and handles must never cross managers — a foreign reference
 ///    indexes the wrong arena and silently corrupts the unique table.  In a
@@ -150,13 +151,12 @@ struct bdd_deadline_exceeded : std::runtime_error {
 
 /// Number of distinct cached operation kinds; indexes the per-op counters
 /// in bdd_stats (and_op, xor_op, ite_op, exists_op, and_exists_op,
-/// support_op, cofactor_op, constrain_op, restrict_op, permute_op — in that
-/// order).
-inline constexpr std::size_t bdd_num_ops = 10;
+/// support_op, cofactor_op, permute_op — in that order).
+inline constexpr std::size_t bdd_num_ops = 8;
 
 /// Stable short name of cached operation kind k ("and", "xor", "ite",
-/// "exists", "and_exists", "support", "cofactor", "constrain", "restrict",
-/// "permute"); "?" for out-of-range k.
+/// "exists", "and_exists", "support", "cofactor", "permute"); "?" for
+/// out-of-range k.
 [[nodiscard]] const char* bdd_op_name(std::size_t k);
 
 /// Statistics snapshot for diagnostics and benchmarking.
@@ -281,25 +281,8 @@ public:
     /// with one `mk`; otherwise with an `ite`.
     [[nodiscard]] bdd permute(const bdd& f,
                               const std::vector<std::uint32_t>& perm);
-    /// Functional composition: substitute g for variable v in f.
-    [[nodiscard]] bdd compose(const bdd& f, std::uint32_t v, const bdd& g);
-    /// Simultaneous composition: substitute every listed (variable,
-    /// function) pair at once.  Unlike chained compose() calls the
-    /// substituted functions never see each other's variables.
-    [[nodiscard]] bdd compose_vector(
-        const bdd& f,
-        const std::vector<std::pair<std::uint32_t, bdd>>& substitutions);
     /// Cofactor with respect to a (possibly negative-literal) cube.
     [[nodiscard]] bdd cofactor(const bdd& f, const bdd& cube);
-
-    /// Coudert-Madre constrain (generalized cofactor): a function agreeing
-    /// with f on the care set c (c != 0), with image property
-    /// constrain(f,c) & c == f & c.
-    [[nodiscard]] bdd constrain(const bdd& f, const bdd& c);
-    /// Coudert-Madre restrict: like constrain but prunes variables absent
-    /// from f's support at each level, usually giving a smaller result;
-    /// restrict(f,c) & c == f & c.
-    [[nodiscard]] bdd restrict_dc(const bdd& f, const bdd& c);
 
     // ---- structural queries ----------------------------------------------
     /// Support of f as a positive cube.
@@ -327,10 +310,10 @@ public:
     // Reordering rewrites nodes in place (references keep denoting the same
     // function), so every live `bdd` handle stays valid.  The solver pins the
     // (u,v) block at the top of its orders and therefore never calls these;
-    // they are offered for the substrate benchmarks and for standalone use of
-    // the package.  The computed cache survives: references keep their
-    // denotation, and dead nodes are only reclaimed by the final collection,
-    // which purges exactly the entries that referenced them.
+    // only their tests and standalone use of the package do.  The computed
+    // cache survives: references keep their denotation, and dead nodes are
+    // only reclaimed by the final collection, which purges exactly the
+    // entries that referenced them.
 
     /// One full sifting pass (Rudell): each variable, in decreasing order of
     /// node count, is moved through all levels by adjacent swaps and left at
@@ -443,7 +426,7 @@ private:
 
     enum class op : std::uint8_t {
         and_op, xor_op, ite_op, exists_op, and_exists_op, support_op,
-        cofactor_op, constrain_op, restrict_op, permute_op
+        cofactor_op, permute_op
     };
     static_assert(static_cast<std::size_t>(op::permute_op) + 1 == bdd_num_ops,
                   "bdd_num_ops must match the cached-op enum");
@@ -604,21 +587,12 @@ private:
     std::uint32_t and_exists_nary_rec(std::vector<std::uint32_t> operands,
                                       std::uint32_t cube, nary_memo& memo);
     std::uint32_t support_rec(std::uint32_t f);
-    std::uint32_t constrain_rec(std::uint32_t f, std::uint32_t c);
-    std::uint32_t restrict_rec(std::uint32_t f, std::uint32_t c);
     /// Cached core: the computed-cache key is (permute_op, regular f,
     /// token, 0), where `token` is perm's slot in perms_ — not a node
     /// reference, which cache_age_and_purge must respect.
     std::uint32_t permute_rec(std::uint32_t f,
                               const std::vector<std::uint32_t>& perm,
                               std::uint32_t token);
-    std::uint32_t compose_rec(std::uint32_t f, std::uint32_t v,
-                              std::uint32_t g,
-                              std::vector<std::uint32_t>& memo);
-    std::uint32_t compose_vec_rec(std::uint32_t f,
-                                  const std::vector<std::uint32_t>& sub,
-                                  std::uint32_t deepest_level,
-                                  std::vector<std::uint32_t>& memo);
 
     [[nodiscard]] bdd make(std::uint32_t idx) { return bdd(this, idx); }
 

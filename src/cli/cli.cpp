@@ -39,10 +39,9 @@ int usage(std::ostream& err) {
         << "                   --time-limit/--max-states and solver knobs)\n"
         << "  --strategy S     frontier (default) | bfs | chaining |\n"
         << "                   saturation\n"
-        << "  --policy P       greedy (default) | affinity | none\n"
-        << "  --cluster-limit N   merged-cluster node bound (default 2500)\n"
-        << "  --no-early-quant    quantify at the end (ablation baseline)\n"
-        << "  --no-trim           explore non-conforming subsets (mono flow)\n"
+        << "  --policy P       greedy (default) | affinity\n"
+        << "  --cluster-limit N   merged-cluster node bound (default 2500;\n"
+        << "                   0 keeps one cluster per relation part)\n"
         << "  --collect-stats     track peak intermediate product sizes\n"
         << "  --time-limit SEC    wall-clock deadline per solve (default 0)\n"
         << "  --max-states N      subset-state cap per solve (default 0)\n"
@@ -147,16 +146,15 @@ int parse_flags(const std::vector<std::string>& args, parsed_args& parsed,
             const std::string* v = value();
             image_options& img = parsed.config.solve.img;
             if (v == nullptr) {
-                err << "leq: --policy needs none|greedy|affinity\n";
+                err << "leq: --policy needs greedy|affinity\n";
                 return 2;
-            } else if (*v == "none") {
-                img.policy = cluster_policy::none;
             } else if (*v == "greedy") {
                 img.policy = cluster_policy::greedy;
             } else if (*v == "affinity") {
                 img.policy = cluster_policy::affinity;
             } else {
-                err << "leq: unknown cluster policy '" << *v << "'\n";
+                err << "leq: unknown cluster policy '" << *v
+                    << "' for --policy (greedy|affinity)\n";
                 return 2;
             }
         } else if (arg == "--cluster-limit") {
@@ -164,10 +162,6 @@ int parse_flags(const std::vector<std::string>& args, parsed_args& parsed,
                          parsed.config.solve.img.cluster_limit)) {
                 return 2;
             }
-        } else if (arg == "--no-early-quant") {
-            parsed.config.solve.img.early_quantification = false;
-        } else if (arg == "--no-trim") {
-            parsed.config.solve.trim_nonconforming = false;
         } else if (arg == "--collect-stats") {
             parsed.config.solve.img.collect_stats = true;
         } else if (arg == "--time-limit") {
@@ -176,17 +170,12 @@ int parse_flags(const std::vector<std::string>& args, parsed_args& parsed,
                 err << "leq: --time-limit needs a value\n";
                 return 2;
             }
-            try {
-                std::size_t used = 0;
-                parsed.config.solve.time_limit_seconds = std::stod(*v, &used);
-                if (used != v->size() ||
-                    parsed.config.solve.time_limit_seconds < 0) {
-                    throw std::invalid_argument(*v);
-                }
-            } catch (const std::exception&) {
+            const auto seconds = parse_seconds(*v);
+            if (!seconds.has_value()) {
                 err << "leq: bad value for --time-limit: '" << *v << "'\n";
                 return 2;
             }
+            parsed.config.solve.time_limit_seconds = *seconds;
         } else if (arg == "--max-states") {
             if (!numeric("--max-states",
                          parsed.config.solve.max_subset_states)) {

@@ -178,7 +178,6 @@ std::string record_to_json(const solve_record& record,
         opts.field("strategy", to_string(img.strategy));
         opts.field("policy", to_string(img.policy));
         opts.field("cluster_limit", img.cluster_limit);
-        opts.field("early_quantification", img.early_quantification);
         opts.field("choice_inputs", record.choice_inputs);
         opts.field("time_limit", config.solve.time_limit_seconds);
         opts.field("max_subset_states", config.solve.max_subset_states);

@@ -23,8 +23,8 @@ struct cli_config {
     /// "partitioned" (default), "monolithic", or "explicit".
     std::string flow = "partitioned";
     /// Solver options; `solve.img` carries the relation-layer knobs
-    /// (strategy, cluster policy and limit, early quantification,
-    /// collect-stats) exposed as flags.
+    /// (strategy, cluster policy and limit, collect-stats) exposed as
+    /// flags.
     solve_options solve;
     /// Trailing F inputs that are footnote-2 choice inputs w.
     std::size_t choice_inputs = 0;

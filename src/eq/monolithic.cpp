@@ -14,9 +14,9 @@
 /// TO_S', their product and the quantified product — are all materialized
 /// here; this is exactly what the Table-1 comparison measures.  Each of them
 /// is built as a transition-relation image with `from = 1` (the relation
-/// layer is the only conjunction path in the codebase); under the default
-/// early-quantification options the hidden variables still retire at their
-/// last occurrence, which is sound and yields the identical canonical BDDs.
+/// layer is the only conjunction path in the codebase); the hidden
+/// variables still retire at their last occurrence, which is sound and
+/// yields the identical canonical BDDs.
 
 #include "eq/solver.hpp"
 #include "eq/subset_common.hpp"
@@ -126,9 +126,9 @@ solve_result solve_monolithic(const equation_problem& problem,
         const std::uint32_t boundary = problem.uv_boundary_level();
 
         // per-subset-state image of the (single, monolithic) hidden relation
-        // — through the same layer, so the img options (naive vs
-        // last-occurrence quantification, reach strategy) apply to this flow
-        // too; with one part the relation degenerates to and_exists
+        // — through the same layer, so the img options (reach strategy)
+        // apply to this flow too; with one part the relation degenerates to
+        // and_exists
         const transition_relation step_rel(mgr, {hidden}, cs_vars, local.img);
 
         // initial product state: F and S initial, dc = 0
@@ -143,32 +143,21 @@ solve_result solve_monolithic(const equation_problem& problem,
             detail::expansion exp{detail::split_by_top_block(mgr, p, boundary),
                                   mgr.zero()};
             exp.to_dca = !mgr.exists(p, ns_cube);
-            if (local.trim_nonconforming) {
-                // prefix-closed trimming (paper, Section 3.2): a successor
-                // containing an (a, DC1)-type state is DCN; drop the move and
-                // never explore it
-                std::vector<detail::cofactor_class> kept;
-                kept.reserve(exp.successors.size());
-                for (detail::cofactor_class& c : exp.successors) {
-                    if ((c.leaf & accepting_ns).is_zero()) {
-                        kept.push_back(std::move(c));
-                    }
+            // prefix-closed trimming (paper, Section 3.2): a successor
+            // containing an (a, DC1)-type state is DCN; drop the move and
+            // never explore it
+            std::vector<detail::cofactor_class> kept;
+            kept.reserve(exp.successors.size());
+            for (detail::cofactor_class& c : exp.successors) {
+                if ((c.leaf & accepting_ns).is_zero()) {
+                    kept.push_back(std::move(c));
                 }
-                exp.successors = std::move(kept);
             }
+            exp.successors = std::move(kept);
             return exp;
         };
 
-        solve_result result;
-        if (local.trim_nonconforming) {
-            result = driver.run(initial, expand);
-        } else {
-            // Ablation-A baseline: explore DCN-type subsets too and remove
-            // them only in the final prefix-close
-            result = driver.run(initial, expand, [&](const bdd& psi) {
-                return !(psi & accepting_product).is_zero();
-            });
-        }
+        solve_result result = driver.run(initial, expand);
         result.seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();

@@ -51,11 +51,6 @@ struct solve_options {
     double time_limit_seconds = 0.0;
     /// Cap on explored subset states; 0 = unlimited.
     std::size_t max_subset_states = 0;
-    /// Replace subsets containing non-accepting (DC1-type) product states by
-    /// DCN without exploring them (paper, Section 3.2).  Only meaningful for
-    /// the monolithic flow, where such subsets are representable; switching
-    /// it off is the Ablation-A baseline.
-    bool trim_nonconforming = true;
     /// Memory tuning for the instance's BDD manager (computed-cache sizing,
     /// GC trigger).  Consumed at `equation_problem` construction — the
     /// manager exists before the solve starts — so callers building the

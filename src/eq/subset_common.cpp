@@ -10,12 +10,20 @@
 namespace leq::detail {
 
 solve_options with_deadline(const solve_options& options) {
+    using clock = std::chrono::steady_clock;
     solve_options armed = options;
     if (armed.time_limit_seconds > 0 && !armed.img.deadline) {
-        armed.img.deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(armed.time_limit_seconds));
+        const clock::time_point now = clock::now();
+        // half the headroom keeps the double -> tick conversion in range
+        const double headroom =
+            std::chrono::duration<double>(clock::time_point::max() - now)
+                .count() / 2;
+        if (armed.time_limit_seconds < headroom) {
+            armed.img.deadline =
+                now + std::chrono::duration_cast<clock::duration>(
+                          std::chrono::duration<double>(
+                              armed.time_limit_seconds));
+        }
     }
     return armed;
 }
@@ -95,16 +103,9 @@ std::vector<cofactor_class> split_by_top_block(bdd_manager& mgr, const bdd& p,
     return classes;
 }
 
-bdd guard_domain(bdd_manager& mgr, const std::vector<cofactor_class>& classes) {
-    bdd d = mgr.zero();
-    for (const cofactor_class& c : classes) { d |= c.guard; }
-    return d;
-}
-
 solve_result
 subset_driver::run(const bdd& initial_state,
-                   const std::function<expansion(const bdd&)>& expand,
-                   const std::function<bool(const bdd&)>& is_bad) const {
+                   const std::function<expansion(const bdd&)>& expand) const {
     const auto start = std::chrono::steady_clock::now();
     const auto elapsed = [&] {
         return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -209,22 +210,6 @@ subset_driver::run(const bdd& initial_state,
                                        static_cast<std::ptrdiff_t>(u_vars.size()),
                                    uv_vars.end()));
     std::vector<bool> alive(num_subsets + 1, true);
-    if (is_bad) {
-        // prefix-close: DCN-type subsets are non-accepting in the final
-        // answer and are removed before the progressive fixpoint
-        for (std::uint32_t s = 0; s < num_subsets; ++s) {
-            if (is_bad(rename(subsets[s]))) { alive[s] = false; }
-        }
-        if (!alive[0]) {
-            result.empty_solution = true;
-            automaton empty(mgr, uv_vars);
-            empty.set_initial(empty.add_state(false));
-            result.csf = std::move(empty);
-            result.csf_states = 0;
-            result.seconds = elapsed();
-            return result;
-        }
-    }
     // worklist fixpoint: when a state dies only its predecessors need
     // rechecking (a full-sweep loop is quadratic at 10^5 states)
     std::vector<std::vector<std::uint32_t>> preds(num_subsets + 1);
@@ -240,11 +225,9 @@ subset_driver::run(const bdd& initial_state,
     };
     std::queue<std::uint32_t> dead;
     for (std::uint32_t s = 0; s <= num_subsets; ++s) {
-        if (alive[s] && !progressive_ok(s)) {
+        if (!progressive_ok(s)) {
             alive[s] = false;
             dead.push(s);
-        } else if (!alive[s]) {
-            dead.push(s); // is_bad casualties: propagate to predecessors
         }
     }
     while (!dead.empty()) {

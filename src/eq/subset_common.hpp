@@ -18,6 +18,9 @@ namespace leq::detail {
 
 /// Copy of `options` with the relation-layer deadline armed from
 /// `time_limit_seconds` (when a limit is set and no deadline is present).
+/// A limit too large for `steady_clock` to represent as a time point (past
+/// half its remaining range, about 146 years) leaves the deadline unset:
+/// the solve is then as good as unlimited.
 /// Solvers pass the result to their transition relations and to the driver,
 /// so a deep image chain *inside* one subset expansion trips the timeout
 /// (the driver's own check only runs between expansions).
@@ -53,10 +56,6 @@ struct cofactor_class {
 [[nodiscard]] std::vector<cofactor_class>
 split_by_top_block(bdd_manager& mgr, const bdd& p, std::uint32_t boundary);
 
-/// Union of all guards (the domain over (u,v)) of a split.
-[[nodiscard]] bdd guard_domain(bdd_manager& mgr,
-                               const std::vector<cofactor_class>& classes);
-
 /// Result of expanding one subset state.
 struct expansion {
     std::vector<cofactor_class> successors; ///< guard -> successor subset
@@ -66,9 +65,9 @@ struct expansion {
 /// Generic subset-construction driver.  `expand` maps a subset state (over
 /// current-state variables) to its successor classes (leaves over
 /// next-state variables).  The driver interns the leaves as they are, over
-/// ns, and renames a subset to cs once, when it is expanded (or classified
-/// by `is_bad`), instead of once per successor edge.  Returns the CSF
-/// after progressive trimming, or an early status on limits.
+/// ns, and renames a subset to cs once, when it is expanded, instead of
+/// once per successor edge.  Returns the CSF after progressive trimming,
+/// or an early status on limits.
 struct subset_driver {
     bdd_manager& mgr;
     std::vector<std::uint32_t> uv_vars;    ///< u then v (label variables)
@@ -78,16 +77,12 @@ struct subset_driver {
     std::vector<std::uint32_t> ns_to_cs;
     const solve_options& options;
 
-    /// \param is_bad optional classifier for DCN-type subsets (those meeting
-    ///        an accepting product state).  With the paper's trimming, such
-    ///        subsets are filtered inside `expand` and never reach the
-    ///        driver; the Ablation-A baseline instead explores them and
-    ///        passes this predicate so the prefix-close step can remove them
-    ///        afterwards.
+    /// DCN-type subsets (those meeting an accepting product state) must be
+    /// filtered inside `expand`, as the paper's trimming does: the driver
+    /// treats every interned subset as conforming.
     [[nodiscard]] solve_result
     run(const bdd& initial_state,
-        const std::function<expansion(const bdd&)>& expand,
-        const std::function<bool(const bdd&)>& is_bad = nullptr) const;
+        const std::function<expansion(const bdd&)>& expand) const;
 };
 
 } // namespace leq::detail

@@ -30,16 +30,16 @@ const std::vector<extraction_policy>& all_extraction_policies() {
     return policies;
 }
 
-automaton extract_fsm_with_policy(const automaton& csf,
-                                  const std::vector<std::uint32_t>& u_vars,
-                                  const std::vector<std::uint32_t>& v_vars,
-                                  extraction_policy policy) {
+automaton extract_fsm(const automaton& csf,
+                      const std::vector<std::uint32_t>& u_vars,
+                      const std::vector<std::uint32_t>& v_vars,
+                      extraction_policy policy) {
     bdd_manager& mgr = csf.manager();
     if (u_vars.size() > 20) {
-        throw std::invalid_argument("extract_fsm_with_policy: too many inputs");
+        throw std::invalid_argument("extract_fsm: too many inputs");
     }
     if (!csf.accepting(csf.initial())) {
-        throw std::invalid_argument("extract_fsm_with_policy: empty CSF");
+        throw std::invalid_argument("extract_fsm: empty CSF");
     }
     automaton fsm(mgr, csf.label_vars());
     std::map<std::uint32_t, std::uint32_t> ids; // csf state -> fsm state
@@ -96,7 +96,7 @@ automaton extract_fsm_with_policy(const automaton& csf,
             }
             if (chosen == nullptr) {
                 throw std::logic_error(
-                    "extract_fsm_with_policy: CSF is not input-progressive");
+                    "extract_fsm: CSF is not input-progressive");
             }
             // pick one (u,v) minterm's v part; pin leftover v bits to 0
             bdd choice = mgr.pick_cube(chosen_enabled);
@@ -117,8 +117,7 @@ subsolution_result select_small_subsolution(
     extraction_policy best_policy = extraction_policy::first_edge;
     std::vector<subsolution_candidate> candidates;
     for (const extraction_policy policy : all_extraction_policies()) {
-        const automaton raw =
-            extract_fsm_with_policy(csf, u_vars, v_vars, policy);
+        const automaton raw = extract_fsm(csf, u_vars, v_vars, policy);
         automaton small = minimize(raw);
         if (!language_contained(small, csf)) {
             throw std::logic_error(

@@ -22,7 +22,7 @@ namespace leq {
 
 /// How to commit to one (v, successor) choice per (state, u assignment).
 enum class extraction_policy {
-    first_edge,       ///< first admitting edge (the extract_fsm baseline)
+    first_edge,       ///< first admitting edge (the default)
     prefer_self_loop, ///< stay in the current state when allowed
     prefer_visited,   ///< re-enter already-extracted states when possible
     prefer_low_dest,  ///< deterministic bias to the lowest successor id
@@ -33,15 +33,18 @@ enum class extraction_policy {
 /// All policies, for sweeps.
 [[nodiscard]] const std::vector<extraction_policy>& all_extraction_policies();
 
-/// extract_fsm generalized over the commitment policy.  The result is a
-/// deterministic FSM (complete over the u inputs) contained in the CSF.
-/// Throws std::invalid_argument on an empty CSF and std::logic_error if the
-/// CSF is not input-progressive.
+/// Extract a concrete FSM implementation from a CSF: in every state and for
+/// every u input, commit to one v allowed by the CSF, choosing among the
+/// admitting edges by `policy`.  `csf` must be a CSF automaton over u_vars
+/// and v_vars (as produced by the solvers).  The result is a deterministic
+/// FSM (complete over the u inputs) contained in the CSF.  Exponential in
+/// |u| (iterates input minterms); intended for moderate |u|.  Throws
+/// std::invalid_argument on an empty CSF and std::logic_error if the CSF is
+/// not input-progressive.
 [[nodiscard]] automaton
-extract_fsm_with_policy(const automaton& csf,
-                        const std::vector<std::uint32_t>& u_vars,
-                        const std::vector<std::uint32_t>& v_vars,
-                        extraction_policy policy);
+extract_fsm(const automaton& csf, const std::vector<std::uint32_t>& u_vars,
+            const std::vector<std::uint32_t>& v_vars,
+            extraction_policy policy = extraction_policy::first_edge);
 
 /// One candidate of the sub-solution search.
 struct subsolution_candidate {

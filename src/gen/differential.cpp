@@ -4,9 +4,9 @@
 #include "gen/differential.hpp"
 
 #include "automata/stg.hpp"
-#include "eq/extract.hpp"
 #include "eq/problem.hpp"
 #include "eq/solver.hpp"
+#include "eq/subsolution.hpp"
 #include "eq/verify.hpp"
 
 #include <sstream>
@@ -18,7 +18,7 @@ namespace {
 std::string describe(const image_options& o) {
     std::ostringstream text;
     text << to_string(o.strategy) << "/" << to_string(o.policy) << "/limit"
-         << o.cluster_limit << (o.early_quantification ? "/early" : "/naive");
+         << o.cluster_limit;
     if (o.fault_suppress_var != image_options::no_fault) {
         text << "/FAULT@" << o.fault_suppress_var;
     }
@@ -205,9 +205,8 @@ describe_option_matrix(const std::vector<image_options>& matrix) {
 
 std::vector<image_options> default_option_matrix() {
     std::vector<image_options> matrix(6);
-    // matrix[0]: the defaults (frontier, early quantification, greedy)
+    // matrix[0]: the defaults (frontier, greedy)
     matrix[1].strategy = reach_strategy::bfs;
-    matrix[1].early_quantification = false;
     matrix[1].cluster_limit = 0;
     matrix[2].strategy = reach_strategy::chaining;
     matrix[2].policy = cluster_policy::affinity;

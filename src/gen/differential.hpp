@@ -5,7 +5,7 @@
 /// The paper's correctness story (Corollary 1 plus Algorithm 1) says all
 /// flows compute the same largest solution; this module turns that into an
 /// executable oracle.  For a scenario it runs `solve_partitioned` across an
-/// option matrix (strategy x early-quantification x cluster policy),
+/// option matrix (strategy x cluster policy and limit),
 /// `solve_monolithic`, and — when the instance is small enough for the
 /// exponential oracle — `solve_explicit`, then checks:
 ///
@@ -55,12 +55,12 @@ struct differential_options {
 };
 
 /// The sweep the differential runs by default: reference options, an
-/// unclustered naive-quantification BFS, a chaining/affinity configuration,
-/// a tightly clustered affinity frontier, default saturation, and a tightly
-/// clustered affinity saturation.
+/// unclustered BFS, a chaining/affinity configuration, a tightly clustered
+/// affinity frontier, default saturation, and a tightly clustered affinity
+/// saturation.
 [[nodiscard]] std::vector<image_options> default_option_matrix();
 
-/// Compact rendering of an option matrix ("[frontier/greedy/limit2500/early,
+/// Compact rendering of an option matrix ("[frontier/greedy/limit2500,
 /// ...]") for failure messages and reproducer headers.
 [[nodiscard]] std::string
 describe_option_matrix(const std::vector<image_options>& matrix);

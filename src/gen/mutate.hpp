@@ -20,10 +20,6 @@
 
 namespace leq {
 
-/// Exact structural copy (ports, latches, nodes, name).  The base of every
-/// edit below, exposed for its own sake too.
-[[nodiscard]] network copy_network(const network& net);
-
 // ---------------------------------------------------------------------------
 // reductions (the shrinker's move set)
 // ---------------------------------------------------------------------------

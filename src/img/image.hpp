@@ -12,9 +12,8 @@
 ///     Img(y) = exists x . p_1 & p_2 & ... & p_n & from(x)
 ///
 /// folding the conjunctions one cluster at a time and quantifying each
-/// variable as soon as the remaining clusters no longer mention it.  A naive
-/// mode (conjoin everything, then quantify) is kept for the ablation
-/// benchmark.  `image_options` / `reach_strategy` are defined by the
+/// variable as soon as the remaining clusters no longer mention it.
+/// `image_options` / `reach_strategy` are defined by the
 /// relation layer and re-exported here; see rel/relation.hpp for the full
 /// option semantics (deadline behavior included) and the
 /// one-manager-per-thread confinement rule, which applies to the

@@ -35,7 +35,6 @@
 #include "automata/kiss.hpp"
 #include "automata/stg.hpp"
 
-#include "eq/extract.hpp"
 #include "eq/kiss_flow.hpp"
 #include "eq/problem.hpp"
 #include "eq/reduce.hpp"

@@ -10,7 +10,6 @@ namespace leq {
 
 const char* to_string(cluster_policy policy) {
     switch (policy) {
-    case cluster_policy::none: return "none";
     case cluster_policy::greedy: return "greedy";
     case cluster_policy::affinity: return "affinity";
     }
@@ -134,8 +133,7 @@ std::vector<bdd> cluster_parts(bdd_manager& mgr, const std::vector<bdd>& parts,
                                cluster_policy policy,
                                std::size_t cluster_limit,
                                const relation_deadline& deadline) {
-    if (cluster_limit == 0 || policy == cluster_policy::none ||
-        parts.size() < 2) {
+    if (cluster_limit == 0 || parts.size() < 2) {
         return parts;
     }
     switch (policy) {
@@ -143,7 +141,6 @@ std::vector<bdd> cluster_parts(bdd_manager& mgr, const std::vector<bdd>& parts,
         return cluster_greedy(mgr, parts, cluster_limit, deadline);
     case cluster_policy::affinity:
         return cluster_affinity(mgr, parts, cluster_limit, deadline);
-    case cluster_policy::none: break;
     }
     return parts;
 }

@@ -6,8 +6,6 @@
 /// — clustering — trades BDD size against the number of and-exists steps per
 /// image.  The policies:
 ///
-///  * none      keep the parts exactly as given (also what cluster_limit 0
-///              means under any policy).
 ///  * greedy    adjacent merge: fold each part into the previous cluster
 ///              while the product stays below the node limit.  Cheap and
 ///              order-dependent; good when the declaration order already
@@ -23,7 +21,8 @@
 ///
 /// The node limit is an upper bound on every *merged* product; a single part
 /// that is already larger than the limit is kept as its own cluster (parts
-/// are never split).
+/// are never split).  A limit of 0 keeps the parts exactly as given under
+/// either policy.
 #pragma once
 
 #include "bdd/bdd.hpp"
@@ -34,14 +33,14 @@
 
 namespace leq {
 
-enum class cluster_policy : std::uint8_t { none, greedy, affinity };
+enum class cluster_policy : std::uint8_t { greedy, affinity };
 
-/// Policy name for benchmark tables and diagnostics ("none", ...).
+/// Policy name for benchmark tables and diagnostics ("greedy", ...).
 [[nodiscard]] const char* to_string(cluster_policy policy);
 
 /// All policies, in a fixed order (benchmark/test sweeps).
 inline constexpr cluster_policy all_cluster_policies[] = {
-    cluster_policy::none, cluster_policy::greedy, cluster_policy::affinity};
+    cluster_policy::greedy, cluster_policy::affinity};
 
 /// Merge `parts` into clusters under `policy`.  Every cluster formed by
 /// merging two or more parts has dag_size <= cluster_limit; a limit of 0

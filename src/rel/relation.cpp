@@ -75,19 +75,8 @@ transition_relation transition_relation::next_state(
 }
 
 void transition_relation::build(const std::vector<std::uint32_t>& quantify) {
-    if (!options_.early_quantification) {
-        // naive/monolithic mode (ablation baseline): one big conjunction,
-        // every variable quantified at the end
-        bdd product = mgr_->one();
-        for (const bdd& p : parts_) {
-            throw_if_past(options_.deadline);
-            product &= p;
-        }
-        clusters_ = {product};
-    } else {
-        clusters_ = cluster_parts(*mgr_, parts_, options_.policy,
-                                  options_.cluster_limit, options_.deadline);
-    }
+    clusters_ = cluster_parts(*mgr_, parts_, options_.policy,
+                              options_.cluster_limit, options_.deadline);
     image_schedule_ =
         quant_schedule(*mgr_, clusters_, quantify,
                        options_.strategy == reach_strategy::chaining);

@@ -74,8 +74,6 @@ inline constexpr reach_strategy all_reach_strategies[] = {
 /// Options for the relation layer (`solve_options::img` plumbs this through
 /// both solver flows).
 struct image_options {
-    /// Quantify variables at their last occurrence instead of at the end.
-    bool early_quantification = true;
     /// Merged-cluster node bound (see rel/cluster.hpp); 0 disables merging.
     std::size_t cluster_limit = 2500;
     /// How parts merge into clusters: greedy adjacent (the historical

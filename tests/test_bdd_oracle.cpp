@@ -5,7 +5,7 @@
 /// semantics: a function over n <= 12 variables is a 2^n-bit table, each
 /// operator a few word-wise instructions.  Random expression DAGs mix
 /// and/or/xor/not/ite/exists/forall/relprod (and_exists) and substitution
-/// (compose/permute/cofactor), and after every step the new node must agree
+/// (permute/cofactor), and after every step the new node must agree
 /// with the oracle on all 2^n rows.
 ///
 /// On top of pointwise agreement the suite asserts the complement-edge
@@ -124,7 +124,7 @@ words tt_quant(const words& a, std::uint32_t nvars,
     return t;
 }
 
-/// Substitute g for variable v in f.
+/// Substitute g for variable v in f (a constant g gives a cofactor).
 words tt_compose(const words& f, std::uint32_t v, const words& g,
                  std::uint32_t nvars) {
     words t = tt_const(nvars, false);
@@ -286,12 +286,12 @@ void run_expression_dag(const oracle_params& p) {
                       mgr.exists(af & bf, mgr.cube(vars)).index());
             break;
         }
-        case 8: { // compose (substitution)
+        case 8: { // cofactor by one literal
             const auto& [af, at] = pick();
-            const auto& [bf, bt] = pick();
             const std::uint32_t v = rng() % nvars;
-            f = mgr.compose(af, v, bf);
-            t = tt_compose(at, v, bt, nvars);
+            const bool phase = (rng() & 1) != 0;
+            f = mgr.cofactor(af, mgr.literal(v, phase));
+            t = tt_compose(at, v, tt_const(nvars, phase), nvars);
             break;
         }
         default: { // permute: swap two variables

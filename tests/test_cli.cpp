@@ -1,7 +1,8 @@
 /// \file test_cli.cpp
 /// \brief The `leq` CLI end to end, in-process: every subcommand on the
 /// checked-in examples/eqn/ pairs, the error paths, JSON validity, and the
-/// batch mode's thread-count determinism.
+/// batch mode's thread-count determinism; plus the leq_fuzz binary's
+/// --time-limit parsing, run as a child process.
 
 #include "cli/cli.hpp"
 
@@ -11,9 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -40,6 +44,15 @@ cli_run run(const std::vector<std::string>& args) {
     r.out = out.str();
     r.err = err.str();
     return r;
+}
+
+/// Exit code of the leq_fuzz binary run through the shell with `args`
+/// (shell-quoted by the caller); -1 when it did not exit normally.
+int run_fuzz_tool(const std::string& args) {
+    const std::string command =
+        std::string("'") + LEQ_FUZZ_BIN + "' " + args + " >/dev/null 2>&1";
+    const int status = std::system(command.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 // ---------------------------------------------------------------------------
@@ -207,14 +220,13 @@ TEST(cli_solve, knob_flags_reach_the_relation_layer) {
         run({"solve", example("passthrough_f.kiss"),
              example("passthrough_s.kiss"), "--strategy", "chaining",
              "--policy", "affinity", "--cluster-limit", "100",
-             "--no-early-quant", "--collect-stats", "--no-timing"});
+             "--collect-stats", "--no-timing"});
     EXPECT_EQ(r.exit_code, 0) << r.err;
     const std::string line = first_line(r.out);
     EXPECT_TRUE(valid_json_object(line)) << line;
     EXPECT_EQ(raw_field(line, "strategy"), "\"chaining\"");
     EXPECT_EQ(raw_field(line, "policy"), "\"affinity\"");
     EXPECT_EQ(raw_field(line, "cluster_limit"), "100");
-    EXPECT_EQ(raw_field(line, "early_quantification"), "false");
     EXPECT_NE(raw_field(line, "peak_intermediate"), "");
     EXPECT_EQ(raw_field(line, "seconds"), ""); // --no-timing
 }
@@ -475,6 +487,52 @@ TEST(cli_errors, numeric_flags_reject_trailing_garbage) {
     EXPECT_EQ(run({"solve", "gen:counter:-1"}).exit_code, 3);
     // a seed is 32 bits: a cast would solve seed 1 under this label
     EXPECT_EQ(run({"solve", "gen:counter:4294967297"}).exit_code, 3);
+}
+
+TEST(cli_errors, time_limit_must_be_finite_unsigned_seconds) {
+    // stod took all of these: inf and 1e10 then overflowed the deadline
+    // into an instant timeout, and nan was echoed as "time_limit":null
+    for (const char* bad : {"inf", "nan", "-5", " 5"}) {
+        const cli_run r =
+            run({"solve", "gen:counter:1", "--time-limit", bad});
+        EXPECT_EQ(r.exit_code, 2) << "'" << bad << "'";
+        EXPECT_NE(r.err.find("--time-limit"), std::string::npos) << r.err;
+        EXPECT_EQ(run_fuzz_tool(std::string("--seeds 0 --time-limit '") +
+                                bad + "'"),
+                  2)
+            << "leq_fuzz '" << bad << "'";
+    }
+    EXPECT_EQ(run_fuzz_tool("--seeds 0 --time-limit 5"), 0);
+}
+
+TEST(cli_solve, time_limit_beyond_the_clock_range_is_unlimited) {
+    const cli_run r = run({"solve", "gen:counter:1", "--time-limit", "1e10",
+                           "--no-timing"});
+    EXPECT_EQ(r.exit_code, 0) << r.err;
+    EXPECT_EQ(raw_field(first_line(r.out), "status"), "\"ok\"");
+}
+
+TEST(cli_errors, removed_ablation_flags_are_rejected) {
+    for (const char* flag : {"--no-early-quant", "--no-trim"}) {
+        const cli_run r = run({"solve", "gen:counter:1", flag});
+        EXPECT_EQ(r.exit_code, 2) << flag;
+        EXPECT_NE(r.err.find(flag), std::string::npos) << r.err;
+    }
+    const cli_run none =
+        run({"solve", "gen:counter:1", "--policy", "none"});
+    EXPECT_EQ(none.exit_code, 2);
+    EXPECT_NE(none.err.find("--policy"), std::string::npos) << none.err;
+}
+
+TEST(cli_count, seconds_are_finite_and_unsigned) {
+    EXPECT_EQ(parse_seconds("0"), 0.0);
+    EXPECT_EQ(parse_seconds("2.5"), 2.5);
+    EXPECT_EQ(parse_seconds("1e3"), 1000.0);
+    EXPECT_EQ(parse_seconds(".5"), 0.5);
+    for (const char* bad : {"", "-5", "+5", "-0", " 5", "5 ", "30s", "inf",
+                            "nan", "infinity", "1e999", "0x10"}) {
+        EXPECT_FALSE(parse_seconds(bad).has_value()) << "'" << bad << "'";
+    }
 }
 
 TEST(cli_count, digits_only_and_range_checked) {

@@ -3,8 +3,8 @@
 /// composition, and the end-to-end circuit-level round trip
 /// (split -> solve -> extract -> encode -> compose -> compare with S).
 
-#include "eq/extract.hpp"
 #include "eq/solver.hpp"
+#include "eq/subsolution.hpp"
 #include "net/compose.hpp"
 #include "automata/encode.hpp"
 #include "net/generator.hpp"

@@ -4,8 +4,8 @@
 
 #include "automata/automaton_io.hpp"
 #include "automata/kiss.hpp"
-#include "eq/extract.hpp"
 #include "eq/solver.hpp"
+#include "eq/subsolution.hpp"
 #include "eq/verify.hpp"
 #include "net/generator.hpp"
 #include "net/latch_split.hpp"

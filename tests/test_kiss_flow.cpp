@@ -2,8 +2,8 @@
 /// \brief FSM-level equation solving from KISS2 text.
 
 #include "automata/kiss.hpp"
-#include "eq/extract.hpp"
 #include "eq/kiss_flow.hpp"
+#include "eq/subsolution.hpp"
 #include "eq/topology.hpp"
 #include "eq/verify.hpp"
 

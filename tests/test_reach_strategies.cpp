@@ -1,9 +1,9 @@
 /// \file test_reach_strategies.cpp
 /// \brief The four reachability strategies (bfs / frontier / chaining /
-/// saturation) must be pure scheduling choices: on any machine, under any
-/// early-quantification x clustering combination, they reach the identical
-/// state set with the identical sat count — and all but saturation (whose
-/// worklist deliberately abandons layer order) the identical BFS layering.
+/// saturation) must be pure scheduling choices: on any machine, with
+/// clustering on or off, they reach the identical state set with the
+/// identical sat count — and all but saturation (whose worklist
+/// deliberately abandons layer order) the identical BFS layering.
 /// Cross-checked on randomly generated networks (plus structured families)
 /// and on the language-equation solvers, whose subset construction plumbs
 /// the same strategy option.
@@ -78,19 +78,15 @@ network machine_for(int id) {
 }
 
 /// The full option matrix the engine supports: every strategy x
-/// early-quantification on/off x clustering off/default.
+/// clustering off/default.
 std::vector<image_options> option_matrix() {
     std::vector<image_options> matrix;
     for (const reach_strategy strategy : all_reach_strategies) {
-        for (const bool early : {true, false}) {
-            for (const std::size_t cluster : {std::size_t{0},
-                                              std::size_t{2500}}) {
-                image_options o;
-                o.strategy = strategy;
-                o.early_quantification = early;
-                o.cluster_limit = cluster;
-                matrix.push_back(o);
-            }
+        for (const std::size_t cluster : {std::size_t{0}, std::size_t{2500}}) {
+            image_options o;
+            o.strategy = strategy;
+            o.cluster_limit = cluster;
+            matrix.push_back(o);
         }
     }
     return matrix;
@@ -113,8 +109,7 @@ TEST_P(reach_strategies, identical_reached_set_across_option_matrix) {
                                              vars.ns, vars.in, init, options);
         EXPECT_EQ(reached, reference)
             << "machine " << GetParam() << " strategy "
-            << to_string(options.strategy) << " early "
-            << options.early_quantification << " cluster "
+            << to_string(options.strategy) << " cluster "
             << options.cluster_limit;
         EXPECT_DOUBLE_EQ(mgr.sat_count(reached, nbits), ref_count);
     }

@@ -1,8 +1,8 @@
 /// \file test_reach_words.cpp
 /// \brief Layered reachability statistics and word counting.
 
-#include "eq/extract.hpp"
 #include "eq/solver.hpp"
+#include "eq/subsolution.hpp"
 #include "img/image.hpp"
 #include "net/generator.hpp"
 #include "net/latch_split.hpp"

@@ -2,7 +2,7 @@
 /// \brief Oracle suite for the shared transition-relation subsystem
 /// (src/rel/): image/preimage over random partitions must equal the naive
 /// monolithic conjunction across the full {clustering policy x cluster_limit
-/// x strategy x early-quantification} option matrix, affinity clustering
+/// x strategy} option matrix, affinity clustering
 /// must respect its node bound, and relation-layer deadlines must interrupt
 /// image chains, reachability fixpoints and both solver flows.
 
@@ -59,14 +59,11 @@ std::vector<image_options> option_matrix() {
         for (const std::size_t limit :
              {std::size_t{0}, std::size_t{60}, std::size_t{2500}}) {
             for (const reach_strategy strategy : all_reach_strategies) {
-                for (const bool early : {true, false}) {
-                    image_options o;
-                    o.policy = policy;
-                    o.cluster_limit = limit;
-                    o.strategy = strategy;
-                    o.early_quantification = early;
-                    matrix.push_back(o);
-                }
+                image_options o;
+                o.policy = policy;
+                o.cluster_limit = limit;
+                o.strategy = strategy;
+                matrix.push_back(o);
             }
         }
     }
@@ -124,8 +121,7 @@ TEST_P(relation_oracle, image_matches_naive_monolithic_conjunction) {
                 << "machine " << GetParam() << " policy "
                 << to_string(options.policy) << " limit "
                 << options.cluster_limit << " strategy "
-                << to_string(options.strategy) << " early "
-                << options.early_quantification;
+                << to_string(options.strategy);
         }
     }
 }
@@ -161,8 +157,7 @@ TEST_P(relation_oracle, preimage_matches_naive_monolithic_conjunction) {
                 << "machine " << GetParam() << " policy "
                 << to_string(options.policy) << " limit "
                 << options.cluster_limit << " strategy "
-                << to_string(options.strategy) << " early "
-                << options.early_quantification;
+                << to_string(options.strategy);
         }
     }
 }
@@ -325,10 +320,6 @@ TEST(relation_deadline, construction_throws_past_deadline) {
     image_options options;
     options.deadline = std::chrono::steady_clock::now() -
                        std::chrono::seconds(1);
-    EXPECT_THROW((void)transition_relation::next_state(
-                     mgr, fns.next_state, vars.cs, vars.ns, vars.in, options),
-                 relation_deadline_exceeded);
-    options.early_quantification = false; // the naive-mode product fold too
     EXPECT_THROW((void)transition_relation::next_state(
                      mgr, fns.next_state, vars.cs, vars.ns, vars.in, options),
                  relation_deadline_exceeded);

@@ -46,6 +46,18 @@ TEST(solver_edges, tiny_time_limit_reports_timeout) {
               solve_status::timeout);
 }
 
+TEST(solver_edges, huge_time_limit_is_unlimited) {
+    // a limit past steady_clock's range must not wrap into a deadline that
+    // has already passed: both flows run to completion
+    const network original = make_counter(3);
+    const split_result split = split_latches(original, {2});
+    const equation_problem problem(split.fixed, original);
+    solve_options options;
+    options.time_limit_seconds = 1e300;
+    EXPECT_EQ(solve_partitioned(problem, options).status, solve_status::ok);
+    EXPECT_EQ(solve_monolithic(problem, options).status, solve_status::ok);
+}
+
 TEST(solver_edges, saturation_time_limit_reports_timeout) {
     // the deadline armed from time_limit_seconds trips inside the
     // saturation worklist too; both solvers must translate the throw into
@@ -71,19 +83,6 @@ TEST(solver_edges, saturation_time_limit_reports_timeout) {
 // option combinations must not change the answer
 // ---------------------------------------------------------------------------
 
-TEST(solver_edges, naive_image_mode_matches_scheduled) {
-    const network original = make_traffic_controller();
-    const split_result split = split_latches(original, {1});
-    const equation_problem problem(split.fixed, original);
-    const solve_result scheduled = solve_partitioned(problem);
-    solve_options naive;
-    naive.img.early_quantification = false;
-    const solve_result plain = solve_partitioned(problem, naive);
-    ASSERT_EQ(scheduled.status, solve_status::ok);
-    ASSERT_EQ(plain.status, solve_status::ok);
-    EXPECT_TRUE(language_equivalent(*scheduled.csf, *plain.csf));
-}
-
 TEST(solver_edges, clustering_disabled_matches) {
     const network original = make_counter(4);
     const split_result split = split_latches(original, {3});
@@ -95,21 +94,6 @@ TEST(solver_edges, clustering_disabled_matches) {
     ASSERT_EQ(base.status, solve_status::ok);
     ASSERT_EQ(flat.status, solve_status::ok);
     EXPECT_TRUE(language_equivalent(*base.csf, *flat.csf));
-}
-
-TEST(solver_edges, monolithic_trim_off_matches_language) {
-    const network original = make_counter(3);
-    const split_result split = split_latches(original, {2});
-    const equation_problem problem(split.fixed, original);
-    const solve_result trimmed = solve_monolithic(problem);
-    solve_options off;
-    off.trim_nonconforming = false;
-    const solve_result full = solve_monolithic(problem, off);
-    ASSERT_EQ(trimmed.status, solve_status::ok);
-    ASSERT_EQ(full.status, solve_status::ok);
-    EXPECT_TRUE(language_equivalent(*trimmed.csf, *full.csf));
-    // the ablation's point: trimming never explores more subsets
-    EXPECT_LE(trimmed.subset_states_explored, full.subset_states_explored);
 }
 
 // ---------------------------------------------------------------------------

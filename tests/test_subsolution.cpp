@@ -2,7 +2,6 @@
 /// \brief Sub-solution selection (the paper's "optimum sub-solution" future
 /// work): policy extraction, minimization, containment and the search.
 
-#include "eq/extract.hpp"
 #include "eq/solver.hpp"
 #include "eq/subsolution.hpp"
 #include "eq/verify.hpp"
@@ -39,25 +38,13 @@ bool input_progressive_over_u(const equation_problem& p, const automaton& a) {
 // policy extraction
 // ---------------------------------------------------------------------------
 
-TEST(subsolution, first_edge_policy_matches_extract_fsm) {
-    solved s(make_paper_example(), {1});
-    ASSERT_EQ(s.result.status, solve_status::ok);
-    const automaton& csf = *s.result.csf;
-    const automaton a = extract_fsm(csf, s.problem.u_vars, s.problem.v_vars);
-    const automaton b = extract_fsm_with_policy(
-        csf, s.problem.u_vars, s.problem.v_vars,
-        extraction_policy::first_edge);
-    EXPECT_TRUE(language_equivalent(a, b));
-    EXPECT_EQ(a.num_states(), b.num_states());
-}
-
 TEST(subsolution, every_policy_yields_contained_progressive_fsm) {
     solved s(make_traffic_controller(), {1});
     ASSERT_EQ(s.result.status, solve_status::ok);
     ASSERT_FALSE(s.result.empty_solution);
     const automaton& csf = *s.result.csf;
     for (const extraction_policy policy : all_extraction_policies()) {
-        const automaton fsm = extract_fsm_with_policy(
+        const automaton fsm = extract_fsm(
             csf, s.problem.u_vars, s.problem.v_vars, policy);
         EXPECT_TRUE(is_deterministic(fsm)) << to_string(policy);
         EXPECT_TRUE(language_contained(fsm, csf)) << to_string(policy);
@@ -75,7 +62,7 @@ TEST(subsolution, rejects_empty_csf) {
     automaton empty(s.problem.mgr(), s.result.csf->label_vars());
     empty.add_state(false);
     empty.set_initial(0);
-    EXPECT_THROW((void)extract_fsm_with_policy(
+    EXPECT_THROW((void)extract_fsm(
                      empty, s.problem.u_vars, s.problem.v_vars,
                      extraction_policy::first_edge),
                  std::invalid_argument);

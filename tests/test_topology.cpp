@@ -3,7 +3,7 @@
 /// controller synthesis, reduced to Figure-1 form and cross-checked against
 /// the explicit oracle.
 
-#include "eq/extract.hpp"
+#include "eq/subsolution.hpp"
 #include "eq/topology.hpp"
 #include "eq/verify.hpp"
 #include "net/generator.hpp"

@@ -231,17 +231,12 @@ int main(int argc, char** argv) {
             if (arg == "--table1") {
                 double limit = 120.0;
                 if (k + 1 < args.size()) {
-                    const std::string& v = args[k + 1];
-                    std::size_t used = 0;
-                    try {
-                        limit = std::stod(v, &used);
-                    } catch (const std::exception&) {
-                        used = 0;
-                    }
-                    if (used != v.size() || !(limit >= 0)) {
+                    const auto seconds = leq::parse_seconds(args[k + 1]);
+                    if (!seconds.has_value()) {
                         throw std::runtime_error(
                             "--table1 needs a time limit in seconds >= 0");
                     }
+                    limit = *seconds;
                 }
                 return table1_mode(limit);
             }

@@ -6,7 +6,7 @@
 /// Usage:
 ///   leq_fuzz [--seeds N] [--family F] [--seed-base B] [--no-shrink]
 ///            [--out STEM] [--time-limit SECONDS] [--no-explicit]
-///            [--quiet] [--list-families]
+///            [--quiet] [--list-families] [--help]
 ///
 /// Exit status: 0 all scenarios clean, 1 failures found (reproducers
 /// written when --out is given), 2 usage error.
@@ -36,13 +36,13 @@ int usage() {
         << "  --time-limit S    per-solve wall-clock limit (default 60)\n"
         << "  --no-explicit     skip the explicit Algorithm-1 oracle\n"
         << "  --quiet           only print the final summary\n"
-        << "  --list-families   print the family names and exit\n";
+        << "  --list-families   print the family names and exit\n"
+        << "  --help            print this text and exit\n";
     return 2;
 }
 
 /// Fill `options` from argv.  Returns an exit code to bail out with, or -1
-/// to proceed.  std::stod throws on a malformed --time-limit; the caller
-/// maps that to the usage exit code.
+/// to proceed.
 int parse_args(int argc, char** argv, fuzz_options& options, bool& quiet) {
     for (int k = 1; k < argc; ++k) {
         const std::string arg = argv[k];
@@ -54,6 +54,10 @@ int parse_args(int argc, char** argv, fuzz_options& options, bool& quiet) {
             for (const scenario_family f : all_scenario_families) {
                 std::cout << to_string(f) << "\n";
             }
+            return 0;
+        }
+        if (arg == "--help" || arg == "-h") {
+            usage();
             return 0;
         }
         if (arg == "--quiet") {
@@ -95,7 +99,13 @@ int parse_args(int argc, char** argv, fuzz_options& options, bool& quiet) {
         } else if (arg == "--time-limit") {
             const char* v = value();
             if (v == nullptr) { return usage(); }
-            options.diff.time_limit_seconds = std::stod(v);
+            const auto seconds = parse_seconds(v);
+            if (!seconds.has_value()) {
+                std::cerr << "leq_fuzz: bad value for --time-limit: '" << v
+                          << "'\n";
+                return usage();
+            }
+            options.diff.time_limit_seconds = *seconds;
         } else if (arg == "--no-explicit") {
             options.diff.with_explicit = false;
         } else {
@@ -111,13 +121,8 @@ int parse_args(int argc, char** argv, fuzz_options& options, bool& quiet) {
 int main(int argc, char** argv) {
     fuzz_options options;
     bool quiet = false;
-    try {
-        const int bail = parse_args(argc, argv, options, quiet);
-        if (bail >= 0) { return bail; }
-    } catch (const std::exception&) {
-        std::cerr << "leq_fuzz: malformed numeric argument\n";
-        return usage();
-    }
+    const int bail = parse_args(argc, argv, options, quiet);
+    if (bail >= 0) { return bail; }
 
     if (!quiet) { options.log = &std::cout; }
     try {
