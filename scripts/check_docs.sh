@@ -13,7 +13,12 @@
 #      quoting cmake or ctest are skipped: those flags are not ours;
 #   4. check every `leq_bench_*`, `leq_example_*` or `leq_test_*` name in
 #      README.md or docs/*.md is a target of the ./build tree — a deleted
-#      binary fails here instead of lingering in the docs.
+#      binary fails here instead of lingering in the docs;
+#   5. check every `leq_bench_run` workload id in inline code in README.md
+#      or docs/*.md is listed by `leq_bench_run --list` — a retired bench
+#      row fails here instead of lingering in the docs.  A workload id is a
+#      slash-separated word (`reach/mix26`, `table1/*`) whose first part is
+#      no directory of the repository or of src/; a `*` matches any suffix.
 #
 # Usage: scripts/check_docs.sh   (expects ./build/leq, ./build/leq_fuzz and
 #        ./build/leq_bench_run to exist)
@@ -88,3 +93,28 @@ done < <(grep -ohE 'leq_(bench|example|test)_[a-z0-9_]+' README.md docs/*.md |
          sort -u)
 [ "$status" -eq 0 ] || fail "docs name binaries the build no longer makes"
 echo "== binaries ok =="
+
+# ---- 5. documented bench workloads are listed by leq_bench_run --------------
+workloads=$(build/leq_bench_run --list) || fail "leq_bench_run --list failed"
+status=0
+for doc in README.md docs/*.md; do
+    while IFS= read -r id; do
+        root=${id%%/*}
+        # a path such as `net/blif` or `bench/corpus`, not a workload id
+        [ -d "$root" ] || [ -d "src/$root" ] && continue
+        found=0
+        while IFS= read -r listed; do
+            # shellcheck disable=SC2053  # $id is a glob on purpose
+            if [[ $listed == $id ]]; then found=1; break; fi
+        done <<<"$workloads"
+        if [ "$found" -eq 0 ]; then
+            echo "check_docs: $doc names bench workload $id, which" \
+                 "leq_bench_run --list lacks" >&2
+            status=1
+        fi
+    done < <(awk '/^```/ { fenced = !fenced; next } !fenced' "$doc" |
+             grep -o '`[^`]*`' | tr -d '`' | tr ' ' '\n' |
+             grep -E '^[a-z0-9_]+(/[a-z0-9_*]+)+$' | sort -u || true)
+done
+[ "$status" -eq 0 ] || fail "docs name bench workloads leq_bench_run lacks"
+echo "== workloads ok =="

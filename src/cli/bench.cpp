@@ -61,17 +61,6 @@ void add_manager_metrics(bench_row& row, bdd_manager& mgr) {
 // workloads
 // ---------------------------------------------------------------------------
 
-/// The `saturation/*` rows vary only the reach strategy: "before" is the
-/// textbook bfs fixpoint (R := R | Img(R)), "after" the saturation
-/// worklist, on the same deep-sequential workloads and default memory
-/// discipline — the gated win is the work-counter drop from never
-/// re-imaging the full reached set.
-image_options strategy_options(reach_strategy strategy) {
-    image_options img;
-    img.strategy = strategy;
-    return img;
-}
-
 /// The metric set every solve row reports: the solver's state and image
 /// counts, then the manager counters.  A solve that gave up has no row.
 bench_row solve_row(const std::string& id, const equation_problem& problem,
@@ -161,8 +150,8 @@ network wide_frontier_circuit() {
 /// Deep-sequential reach workload: a 12-cell gated ripple counter (the
 /// chaincounter generator's machine at a fixed size).  All 4096 counter
 /// values are reachable one per step, so the bfs fixpoint re-images an
-/// ever-growing reached set ~4096 times while saturation only ever
-/// images the one-state frontier chunks.
+/// ever-growing reached set ~4096 times while the frontier fixpoint only
+/// ever images the one-state frontier.
 network chain_circuit() { return make_chain_counter(12, 4); }
 
 /// The second deep-sequential reach workload: a 14-bit LFSR whose cycle
@@ -170,18 +159,19 @@ network chain_circuit() { return make_chain_counter(12, 4); }
 /// reached-set prefix {0..k} keeps an O(bits) BDD, so the computed cache
 /// absorbs most of bfs's re-imaging — the LFSR's reached set is an
 /// irregular, growing BDD that changes shape every step, and the textbook
-/// fixpoint pays for all of it on every image.  This is where saturation's
-/// never-image-more-than-the-frontier discipline wins most: the baseline
-/// test requires bfs to miss the cache more than 1.5x as often.
+/// fixpoint pays for all of it on every image.  This is where imaging only
+/// the frontier wins most: the baseline test requires bfs to miss the
+/// cache more than 1.5x as often.
 network lfsr_circuit() { return make_lfsr(14, {2, 0}); }
 
 /// Layered reachability sweep over the given circuit under the given reach
 /// strategy.  The relation is built explicitly (the same construction the
 /// vector entry point performs) so the row can harvest the relation-layer
-/// work counters; under saturation `reach_depth` reports fires, not BFS
-/// depth (see reach_info).
+/// work counters.
 bench_row run_reach(const std::string& id, const network& net,
-                    const image_options& img = {}) {
+                    reach_strategy strategy = reach_strategy::frontier) {
+    image_options img;
+    img.strategy = strategy;
     bench_row row;
     row.workload = id;
     bdd_manager mgr;
@@ -203,10 +193,6 @@ bench_row run_reach(const std::string& id, const network& net,
     add(row, "reach_depth", static_cast<double>(info.depth));
     add(row, "reach_states", info.total_states);
     add(row, "images", static_cast<double>(relation.stats().images));
-    if (img.strategy == reach_strategy::saturation) {
-        add(row, "saturation_fires",
-            static_cast<double>(relation.stats().saturation_fires));
-    }
     add_manager_metrics(row, mgr);
     return row;
 }
@@ -309,11 +295,6 @@ metric_policy bench_metric_policy(const std::string& name) {
         return {metric_direction::up_bad, 0.10, 1000.0};
     }
     if (name == "images") { return {metric_direction::up_bad, 0.10, 2.0}; }
-    // deterministic saturation trace length: drift means the worklist
-    // discipline changed
-    if (name == "saturation_fires") {
-        return {metric_direction::exact, 0.0, 0.0};
-    }
     if (name == "gc_runs") { return {metric_direction::up_bad, 0.10, 2.0}; }
     if (name == "allocated_nodes") {
         return {metric_direction::up_bad, 0.10, 4096.0};
@@ -335,12 +316,10 @@ std::vector<std::string> bench_workload_names() {
         "solve/kiss_counter9",
         "reach/mix26",
         "batch/families",
-        "saturation/reach_mix26/before",
-        "saturation/reach_mix26/after",
-        "saturation/reach_chain/before",
-        "saturation/reach_chain/after",
-        "saturation/reach_lfsr14/before",
-        "saturation/reach_lfsr14/after",
+        "reach/chain",
+        "reach/chain/bfs",
+        "reach/lfsr14",
+        "reach/lfsr14/bfs",
         "reach/wide_frontier",
         "table1/s349",
         "table1/s444",
@@ -365,31 +344,20 @@ bench_row run_bench_workload(const std::string& workload) {
     if (workload == "batch/families") {
         return run_batch_workload(workload);
     }
-    // strategy story: same workload, textbook bfs fixpoint versus the
-    // saturation worklist
-    if (workload == "saturation/reach_mix26/before") {
-        return run_reach(workload, reach_circuit(),
-                         strategy_options(reach_strategy::bfs));
+    // the deep-sequential machines, under the shipped frontier fixpoint
+    // and the textbook bfs one (R := R | Img(R)): the gated gap is the work
+    // saved by never re-imaging the reached set
+    if (workload == "reach/chain") {
+        return run_reach(workload, chain_circuit());
     }
-    if (workload == "saturation/reach_mix26/after") {
-        return run_reach(workload, reach_circuit(),
-                         strategy_options(reach_strategy::saturation));
+    if (workload == "reach/chain/bfs") {
+        return run_reach(workload, chain_circuit(), reach_strategy::bfs);
     }
-    if (workload == "saturation/reach_chain/before") {
-        return run_reach(workload, chain_circuit(),
-                         strategy_options(reach_strategy::bfs));
+    if (workload == "reach/lfsr14") {
+        return run_reach(workload, lfsr_circuit());
     }
-    if (workload == "saturation/reach_chain/after") {
-        return run_reach(workload, chain_circuit(),
-                         strategy_options(reach_strategy::saturation));
-    }
-    if (workload == "saturation/reach_lfsr14/before") {
-        return run_reach(workload, lfsr_circuit(),
-                         strategy_options(reach_strategy::bfs));
-    }
-    if (workload == "saturation/reach_lfsr14/after") {
-        return run_reach(workload, lfsr_circuit(),
-                         strategy_options(reach_strategy::saturation));
+    if (workload == "reach/lfsr14/bfs") {
+        return run_reach(workload, lfsr_circuit(), reach_strategy::bfs);
     }
     if (workload == "reach/wide_frontier") {
         return run_reach(workload, wide_frontier_circuit());

@@ -20,10 +20,10 @@
 /// reachability depth) — identical on every host.  Wall-clock seconds are
 /// recorded for humans but never gated.
 ///
-/// The `saturation/*` rows are the one before/after story the trajectory
-/// still carries: the same reachability workload under the textbook bfs
-/// fixpoint and under the saturation worklist.  Every other row runs the
-/// one memory discipline the solver ships.  The `table1/*` rows are the
+/// The `reach/*/bfs` rows are the one comparison the trajectory still
+/// carries: the deep-sequential reachability workloads under the textbook
+/// bfs fixpoint, beside their `reach/*` rows under the shipped frontier
+/// fixpoint.  Every other row runs the configuration the solver ships.  The `table1/*` rows are the
 /// paper's own experiment; the full Table 1 comparison, monolithic flow
 /// and containment checks included, is the `leq_bench_run --table1`
 /// report below.

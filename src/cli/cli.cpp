@@ -37,8 +37,6 @@ int usage(std::ostream& err) {
         << "                   (explicit is the exponential Algorithm-1\n"
         << "                   oracle for small instances; it ignores\n"
         << "                   --time-limit/--max-states and solver knobs)\n"
-        << "  --strategy S     frontier (default) | bfs | chaining |\n"
-        << "                   saturation\n"
         << "  --policy P       greedy (default) | affinity\n"
         << "  --cluster-limit N   merged-cluster node bound (default 2500;\n"
         << "                   0 keeps one cluster per relation part)\n"
@@ -54,6 +52,7 @@ int usage(std::ostream& err) {
         << "  --gc-threshold N    allocated-node GC trigger floor\n"
         << "                   (default 16384)\n"
         << "  --choice-inputs N   trailing F inputs are choice inputs w\n"
+        << "                   (F S files only: gen: sets its own count)\n"
         << "  --name NAME         job label in the JSON record\n"
         << "  --timing | --no-timing   include wall-clock fields (default:\n"
         << "                   on, except in batch mode)\n"
@@ -79,6 +78,7 @@ struct parsed_args {
     std::size_t jobs = 1;
     std::string batch_command = "solve";
     bool timing_set = false; ///< explicit --timing/--no-timing
+    bool choice_inputs_set = false; ///< explicit --choice-inputs
 };
 
 /// Parse flags into `parsed`; returns an exit code to bail with, or -1.
@@ -123,25 +123,6 @@ int parse_flags(const std::vector<std::string>& args, parsed_args& parsed,
                 return 2;
             }
             parsed.config.flow = *v;
-        } else if (arg == "--strategy") {
-            const std::string* v = value();
-            image_options& img = parsed.config.solve.img;
-            if (v == nullptr) {
-                err << "leq: --strategy needs "
-                       "bfs|frontier|chaining|saturation\n";
-                return 2;
-            } else if (*v == "bfs") {
-                img.strategy = reach_strategy::bfs;
-            } else if (*v == "frontier") {
-                img.strategy = reach_strategy::frontier;
-            } else if (*v == "chaining") {
-                img.strategy = reach_strategy::chaining;
-            } else if (*v == "saturation") {
-                img.strategy = reach_strategy::saturation;
-            } else {
-                err << "leq: unknown strategy '" << *v << "'\n";
-                return 2;
-            }
         } else if (arg == "--policy") {
             const std::string* v = value();
             image_options& img = parsed.config.solve.img;
@@ -188,17 +169,10 @@ int parse_flags(const std::vector<std::string>& args, parsed_args& parsed,
                 err << "leq: " << arg << " must be in 8..30\n";
                 return 2;
             }
-            if (arg == "--cache-bits") {
-                parsed.config.solve.mem.cache_bits =
-                    static_cast<unsigned>(bits);
-                // keep the pair consistent when only the floor is raised
-                parsed.config.solve.mem.max_cache_bits =
-                    std::max(parsed.config.solve.mem.max_cache_bits,
-                             static_cast<unsigned>(bits));
-            } else {
-                parsed.config.solve.mem.max_cache_bits =
-                    static_cast<unsigned>(bits);
-            }
+            bdd_manager_options& mem = parsed.config.solve.mem;
+            unsigned& dst = arg == "--cache-bits" ? mem.cache_bits
+                                                  : mem.max_cache_bits;
+            dst = static_cast<unsigned>(bits);
         } else if (arg == "--gc-threshold") {
             if (!numeric("--gc-threshold",
                          parsed.config.solve.mem.gc_threshold)) {
@@ -208,6 +182,7 @@ int parse_flags(const std::vector<std::string>& args, parsed_args& parsed,
             if (!numeric("--choice-inputs", parsed.config.choice_inputs)) {
                 return 2;
             }
+            parsed.choice_inputs_set = true;
         } else if (arg == "--name") {
             const std::string* v = value();
             if (v == nullptr) {
@@ -252,6 +227,10 @@ int parse_flags(const std::vector<std::string>& args, parsed_args& parsed,
             return usage(err);
         }
     }
+    // the ceiling never undercuts the floor, whichever flag came first;
+    // the manager applies the same rule, so the record echoes what runs
+    bdd_manager_options& mem = parsed.config.solve.mem;
+    mem.max_cache_bits = std::max(mem.max_cache_bits, mem.cache_bits);
     return -1;
 }
 
@@ -260,6 +239,13 @@ int parse_flags(const std::vector<std::string>& args, parsed_args& parsed,
 int resolve_pair(parsed_args& parsed, equation_source& fixed,
                  equation_source& spec, std::ostream& err) {
     if (parsed.positional.size() == 1 && is_gen_spec(parsed.positional[0])) {
+        if (parsed.choice_inputs_set) {
+            // the scenario fixes its own count; a silently replaced value
+            // would label the record with a count the user did not ask for
+            err << "leq: --choice-inputs does not apply to a gen: spec (the "
+                   "scenario sets its own count)\n";
+            return 2;
+        }
         generated_pair pair = make_gen_pair(parsed.positional[0]);
         fixed = std::move(pair.fixed);
         spec = std::move(pair.spec);

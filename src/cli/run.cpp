@@ -175,7 +175,6 @@ std::string record_to_json(const solve_record& record,
     {
         const image_options& img = config.solve.img;
         json_object opts;
-        opts.field("strategy", to_string(img.strategy));
         opts.field("policy", to_string(img.policy));
         opts.field("cluster_limit", img.cluster_limit);
         opts.field("choice_inputs", record.choice_inputs);
@@ -196,9 +195,6 @@ std::string record_to_json(const solve_record& record,
         stats.field("clusters", s.clusters);
         stats.field("images", s.images);
         stats.field("preimages", s.preimages);
-        if (config.solve.img.strategy == reach_strategy::saturation) {
-            stats.field("saturation_fires", s.saturation_fires);
-        }
         if (config.solve.img.collect_stats) {
             stats.field("peak_intermediate", s.peak_intermediate);
         }

@@ -126,8 +126,8 @@ solve_result solve_monolithic(const equation_problem& problem,
         const std::uint32_t boundary = problem.uv_boundary_level();
 
         // per-subset-state image of the (single, monolithic) hidden relation
-        // — through the same layer, so the img options (reach strategy)
-        // apply to this flow too; with one part the relation degenerates to
+        // — through the same layer, so the relation-layer options apply to
+        // this flow too; with one part the relation degenerates to
         // and_exists
         const transition_relation step_rel(mgr, {hidden}, cs_vars, local.img);
 

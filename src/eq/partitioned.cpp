@@ -61,13 +61,7 @@ solve_result solve_partitioned(const equation_problem& problem,
         quantify.insert(quantify.end(), problem.cs_s.begin(),
                         problem.cs_s.end());
 
-        // successor relation: u-match plus next-state parts.  options.img
-        // carries the reach strategy: chaining makes both relations apply
-        // their parts strictly sequentially (and the driver below explore
-        // subset states depth-first); bfs/frontier keep the greedy
-        // cost-driven schedule and layer-order exploration; saturation
-        // keeps the greedy schedule but explores depth-first like chaining
-        // (the subset-level analogue of its immediate-feedback worklist).
+        // successor relation: u-match plus next-state parts
         std::vector<bdd> p_parts = u_match;
         p_parts.insert(p_parts.end(), ns_parts.begin(), ns_parts.end());
         const transition_relation p_rel(mgr, p_parts, quantify, local.img);

@@ -72,10 +72,6 @@ struct solve_stats {
     std::size_t clusters = 0;       ///< scheduled clusters across relations
     std::size_t images = 0;         ///< image() calls served
     std::size_t preimages = 0;      ///< preimage() calls served
-    /// Saturation-strategy fires across all relations: image applications
-    /// inside a saturation fixpoint that discovered new states
-    /// (`relation_stats::saturation_fires`); 0 under every other strategy.
-    std::size_t saturation_fires = 0;
     /// Largest partial product seen in any chain (DAG nodes).  Only tracked
     /// when `image_options::collect_stats` is set — it costs one DAG
     /// traversal per chain step.

@@ -4,7 +4,6 @@
 #include "eq/subset_common.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <queue>
 
 namespace leq::detail {
@@ -46,7 +45,6 @@ void accumulate_stats(solve_stats& stats, const transition_relation& rel) {
     stats.preimages += r.preimages;
     stats.peak_intermediate =
         std::max(stats.peak_intermediate, r.peak_intermediate);
-    stats.saturation_fires += r.saturation_fires;
 }
 
 void read_manager_stats(solve_stats& stats, bdd_manager& mgr) {
@@ -124,23 +122,15 @@ subset_driver::run(const bdd& initial_state,
     const auto rename = [&](const bdd& state) {
         return mgr.permute(state, ns_to_cs);
     };
-    // The subset construction is itself a reachability exploration over
-    // subset states; the reach strategy picks the worklist discipline.  The
-    // explored set (and therefore the CSF) is order-independent, but the
-    // peak worklist and BDD cache locality are not: bfs/frontier expand in
-    // layer (FIFO) order, chaining and saturation follow each newly
-    // discovered subset immediately (LIFO), chasing successor chains first
-    // — the subset-level analogue of saturation's immediate feedback.
-    std::deque<std::uint32_t> work;
-    const bool lifo = options.img.strategy == reach_strategy::chaining ||
-                      options.img.strategy == reach_strategy::saturation;
+    // The subset construction is a breadth-first exploration over subset
+    // states: ids are handed out in discovery order and expanded in id
+    // order, so the unexpanded ids are exactly [id, subsets.size()).
     const auto intern = [&](const bdd& state) {
         const auto it = ids.find(state.index());
         if (it != ids.end()) { return it->second; }
         const auto id = static_cast<std::uint32_t>(subsets.size());
         ids.emplace(state.index(), id);
         subsets.push_back(state);
-        work.push_back(id);
         return id;
     };
 
@@ -151,7 +141,7 @@ subset_driver::run(const bdd& initial_state,
     std::vector<std::vector<edge>> edges;
 
     intern(rename(initial_state)); // into ns space, like every leaf
-    while (!work.empty()) {
+    for (std::uint32_t id = 0; id < subsets.size(); ++id) {
         if (options.time_limit_seconds > 0 &&
             elapsed() > options.time_limit_seconds) {
             result = timeout_result(start);
@@ -165,12 +155,6 @@ subset_driver::run(const bdd& initial_state,
             result.seconds = elapsed();
             return result;
         }
-        const std::uint32_t id = lifo ? work.back() : work.front();
-        if (lifo) {
-            work.pop_back();
-        } else {
-            work.pop_front();
-        }
         expansion exp;
         try {
             exp = expand(rename(subsets[id]));
@@ -181,7 +165,7 @@ subset_driver::run(const bdd& initial_state,
             result.subset_states_explored = subsets.size();
             return result;
         }
-        if (edges.size() <= id) { edges.resize(id + 1); }
+        edges.emplace_back();
         for (const cofactor_class& c : exp.successors) {
             edges[id].push_back({intern(c.leaf), c.guard});
         }

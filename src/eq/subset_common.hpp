@@ -66,8 +66,10 @@ struct expansion {
 /// current-state variables) to its successor classes (leaves over
 /// next-state variables).  The driver interns the leaves as they are, over
 /// ns, and renames a subset to cs once, when it is expanded, instead of
-/// once per successor edge.  Returns the CSF after progressive trimming,
-/// or an early status on limits.
+/// once per successor edge.  Subsets are numbered in discovery order and
+/// expanded in that order (breadth first); the CSF keeps the numbering.
+/// Returns the CSF after progressive trimming, or an early status on
+/// limits.
 struct subset_driver {
     bdd_manager& mgr;
     std::vector<std::uint32_t> uv_vars;    ///< u then v (label variables)

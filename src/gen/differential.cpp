@@ -17,8 +17,7 @@ namespace {
 
 std::string describe(const image_options& o) {
     std::ostringstream text;
-    text << to_string(o.strategy) << "/" << to_string(o.policy) << "/limit"
-         << o.cluster_limit;
+    text << to_string(o.policy) << "/limit" << o.cluster_limit;
     if (o.fault_suppress_var != image_options::no_fault) {
         text << "/FAULT@" << o.fault_suppress_var;
     }
@@ -204,19 +203,12 @@ describe_option_matrix(const std::vector<image_options>& matrix) {
 }
 
 std::vector<image_options> default_option_matrix() {
-    std::vector<image_options> matrix(6);
-    // matrix[0]: the defaults (frontier, greedy)
-    matrix[1].strategy = reach_strategy::bfs;
+    std::vector<image_options> matrix(4);
+    // matrix[0]: the defaults (greedy, limit 2500)
     matrix[1].cluster_limit = 0;
-    matrix[2].strategy = reach_strategy::chaining;
     matrix[2].policy = cluster_policy::affinity;
-    matrix[3].strategy = reach_strategy::frontier;
     matrix[3].policy = cluster_policy::affinity;
     matrix[3].cluster_limit = 600;
-    matrix[4].strategy = reach_strategy::saturation;
-    matrix[5].strategy = reach_strategy::saturation;
-    matrix[5].policy = cluster_policy::affinity;
-    matrix[5].cluster_limit = 600;
     return matrix;
 }
 

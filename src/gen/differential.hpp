@@ -5,7 +5,7 @@
 /// The paper's correctness story (Corollary 1 plus Algorithm 1) says all
 /// flows compute the same largest solution; this module turns that into an
 /// executable oracle.  For a scenario it runs `solve_partitioned` across an
-/// option matrix (strategy x cluster policy and limit),
+/// option matrix (cluster policy x cluster limit),
 /// `solve_monolithic`, and — when the instance is small enough for the
 /// exponential oracle — `solve_explicit`, then checks:
 ///
@@ -54,14 +54,14 @@ struct differential_options {
     std::size_t max_subset_states = 50000;
 };
 
-/// The sweep the differential runs by default: reference options, an
-/// unclustered BFS, a chaining/affinity configuration, a tightly clustered
-/// affinity frontier, default saturation, and a tightly clustered affinity
-/// saturation.
+/// The sweep the differential runs by default, one entry per distinct solve
+/// configuration: the reference options (greedy, limit 2500), unclustered
+/// greedy (limit 0), affinity (limit 2500) and tightly clustered affinity
+/// (limit 600).
 [[nodiscard]] std::vector<image_options> default_option_matrix();
 
-/// Compact rendering of an option matrix ("[frontier/greedy/limit2500,
-/// ...]") for failure messages and reproducer headers.
+/// Compact rendering of an option matrix ("[greedy/limit2500, ...]") for
+/// failure messages and reproducer headers.
 [[nodiscard]] std::string
 describe_option_matrix(const std::vector<image_options>& matrix);
 

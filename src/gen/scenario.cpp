@@ -206,8 +206,8 @@ scenario make_nondet_scenario(std::uint32_t seed, std::size_t extra) {
 /// Ripple counter with `gate` injected into the carry chain every
 /// `gate_every` cells: a long combinational dependency chain where low bits
 /// flip every enabled step and high bits move only when every lower carry
-/// and every gate line up — the deep-sequential, high-event-locality shape
-/// the saturation strategy targets.
+/// and every gate line up — a deep-sequential shape with one new state per
+/// BFS layer.
 network make_chain_counter(std::size_t cells, std::size_t gate_every) {
     network net("chaincounter" + std::to_string(cells));
     net.add_input("en");

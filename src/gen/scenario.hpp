@@ -36,10 +36,10 @@ enum class scenario_family : std::uint8_t {
     nondet,   ///< F carries a choice input w (footnote-2 nondeterminism)
     mutant,   ///< near-miss: solvable pair with one flipped spec bit
     /// Gated ripple counter with a long carry dependency chain: low bits
-    /// churn every step while high bits move rarely — maximal event
-    /// locality, the deep-sequential stress case the saturation strategy
-    /// targets.  Appended after mutant so historical (family, seed)
-    /// reproducers keep their meaning.
+    /// churn every step while high bits move rarely: a deep-sequential
+    /// stress case, thousands of BFS layers of one state each.  Appended
+    /// after mutant so historical (family, seed) reproducers keep their
+    /// meaning.
     chaincounter,
 };
 
@@ -97,8 +97,8 @@ struct scenario {
 /// The raw chaincounter network behind `gen:chaincounter` scenarios: a
 /// ripple counter with `gate` injected into the carry chain every
 /// `gate_every` cells.  Exposed so the bench harness can run reachability
-/// on a deterministic deep-sequential machine (the `saturation/reach_chain`
-/// rows) with exactly the shape the chaincounter family generates.
+/// on a deterministic deep-sequential machine (the `reach/chain` rows) with
+/// exactly the shape the chaincounter family generates.
 [[nodiscard]] network make_chain_counter(std::size_t cells,
                                          std::size_t gate_every);
 

@@ -17,7 +17,8 @@
 /// relation layer and re-exported here; see rel/relation.hpp for the full
 /// option semantics (deadline behavior included) and the
 /// one-manager-per-thread confinement rule, which applies to the
-/// fixpoints below unchanged.
+/// fixpoints below unchanged.  No solver flow runs these fixpoints: the
+/// subset construction drives `transition_relation::image` directly.
 #pragma once
 
 #include "rel/relation.hpp"
@@ -45,11 +46,8 @@ namespace leq {
                                    const image_options& options = {});
 
 /// Layered forward reachability: the same fixpoint, additionally reporting
-/// the BFS structure (sequential depth and states first reached per layer).
-/// Under `reach_strategy::saturation` no BFS structure exists, so the fields
-/// report the saturation trace instead: `depth` counts fires (image
-/// applications that discovered new states) and `layer_states` the per-fire
-/// discoveries — `reached`/`total_states` are strategy-independent.
+/// the BFS structure (sequential depth and states first reached per layer),
+/// which is the same under both strategies.
 struct reach_info {
     bdd reached;        ///< all reachable states over cs_vars
     std::size_t depth = 0; ///< number of images until the fixpoint

@@ -12,8 +12,6 @@ const char* to_string(reach_strategy strategy) {
     switch (strategy) {
     case reach_strategy::bfs: return "bfs";
     case reach_strategy::frontier: return "frontier";
-    case reach_strategy::chaining: return "chaining";
-    case reach_strategy::saturation: return "saturation";
     }
     return "?";
 }
@@ -77,9 +75,7 @@ transition_relation transition_relation::next_state(
 void transition_relation::build(const std::vector<std::uint32_t>& quantify) {
     clusters_ = cluster_parts(*mgr_, parts_, options_.policy,
                               options_.cluster_limit, options_.deadline);
-    image_schedule_ =
-        quant_schedule(*mgr_, clusters_, quantify,
-                       options_.strategy == reach_strategy::chaining);
+    image_schedule_ = quant_schedule(*mgr_, clusters_, quantify);
     image_schedule_.describe(*mgr_, stats_);
 }
 
@@ -117,9 +113,7 @@ bdd transition_relation::preimage(const bdd& to) const {
             "(build it with transition_relation::next_state)");
     }
     if (!preimage_schedule_) {
-        preimage_schedule_.emplace(
-            *mgr_, clusters_, pre_quantify_,
-            options_.strategy == reach_strategy::chaining);
+        preimage_schedule_.emplace(*mgr_, clusters_, pre_quantify_);
     }
     ++stats_.preimages;
     bdd to_ns = mgr_->permute(to, cs_ns_swap_);

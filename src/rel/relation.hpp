@@ -31,45 +31,26 @@
 
 namespace leq {
 
-/// Reachability / image-application strategy (LTSmin-style pluggable
-/// exploration orders; see `reachable_states` and `subset_driver`).
+/// Reachability fixpoint order (see `reachable_states`).
 ///
 ///  * bfs       each fixpoint step images the entire reached set
-///              (the textbook R := R | Img(R) iteration)
+///              (the textbook R := R | Img(R) iteration; kept as the
+///              reference the default is checked against)
 ///  * frontier  each step images only the states discovered in the previous
 ///              step (the default: the frontier is usually a much smaller
 ///              BDD than the reached set)
-///  * chaining  per-latch/per-cluster relations are applied strictly
-///              sequentially within a step, in declaration order, instead of
-///              the greedy cost-driven ordering; the fixpoint loop itself is
-///              frontier-based.  For conjunctively partitioned synchronous
-///              relations this is the exact-image analogue of LTSmin's
-///              chaining: successive and_exists applications chain each
-///              partial product into the next relation part.
-///  * saturation  Ciardo-style locality-driven exploration (the shape of
-///              LTSmin's pins2lts-sym saturation, adapted to synchronous
-///              conjunctive relations).  The fixpoint keeps a LIFO worklist
-///              of frontier *chunks* split at the clusters' event-locality
-///              anchors (`quant_schedule::cluster_tops`): every image is
-///              still the exact full-relation image of a subset of the
-///              frontier, but newly discovered states feed back immediately
-///              and the chunk rooted deepest in the variable order is
-///              saturated to a local fixpoint before work propagates back
-///              up.  Because Img distributes over union, the fixpoint is
-///              identical; BFS depth/layering is not defined for it.
 ///
-/// All strategies compute the same fixpoint; they differ only in BDD
-/// operation scheduling, which routinely changes runtime by integer factors.
-enum class reach_strategy : std::uint8_t { bfs, frontier, chaining,
-                                           saturation };
+/// Both compute the same fixpoint with the same BFS layering; they differ
+/// only in the size of the image operand.  Solves never run a fixpoint, so
+/// the strategy does not affect them.
+enum class reach_strategy : std::uint8_t { bfs, frontier };
 
-/// Strategy name for benchmark tables and diagnostics ("bfs", ...).
+/// Strategy name for diagnostics ("bfs" or "frontier").
 [[nodiscard]] const char* to_string(reach_strategy strategy);
 
-/// All strategies, in a fixed order (benchmark/test sweeps).
+/// All strategies, in a fixed order (test sweeps).
 inline constexpr reach_strategy all_reach_strategies[] = {
-    reach_strategy::bfs, reach_strategy::frontier, reach_strategy::chaining,
-    reach_strategy::saturation};
+    reach_strategy::bfs, reach_strategy::frontier};
 
 /// Options for the relation layer (`solve_options::img` plumbs this through
 /// both solver flows).
@@ -79,8 +60,7 @@ struct image_options {
     /// How parts merge into clusters: greedy adjacent (the historical
     /// behavior) or affinity pairing by shared support variables.
     cluster_policy policy = cluster_policy::greedy;
-    /// Exploration/scheduling strategy for reachability fixpoints and the
-    /// relation layer's cluster order.
+    /// Fixpoint order for the reachability entry points (img/image.hpp).
     reach_strategy strategy = reach_strategy::frontier;
     /// Optional absolute deadline.  Image/preimage chains, cluster merging
     /// at construction, and reachability fixpoints throw
@@ -178,11 +158,6 @@ public:
     /// Accumulated per-call statistics (see relation_stats).
     [[nodiscard]] const relation_stats& stats() const { return stats_; }
     [[nodiscard]] const image_options& options() const { return options_; }
-    /// Saturation bookkeeping: the saturation fixpoint reports every image
-    /// application that discovered new states as one "fire"
-    /// (`relation_stats::saturation_fires`); like image(), counting mutates
-    /// only the per-call statistics.
-    void record_saturation_fire() const { ++stats_.saturation_fires; }
 
 private:
     transition_relation(bdd_manager& mgr, std::vector<bdd> parts,

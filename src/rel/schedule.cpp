@@ -1,6 +1,6 @@
 /// \file schedule.cpp
-/// \brief Schedule construction (cost-driven greedy / sequential order,
-/// exact per-cluster retirement sets) and execution.
+/// \brief Schedule construction (cost-driven greedy order, exact
+/// per-cluster retirement sets) and execution.
 
 #include "rel/schedule.hpp"
 
@@ -12,8 +12,7 @@ namespace leq {
 
 quant_schedule::quant_schedule(bdd_manager& mgr,
                                const std::vector<bdd>& clusters,
-                               const std::vector<std::uint32_t>& quantify,
-                               bool sequential)
+                               const std::vector<std::uint32_t>& quantify)
     : mgr_(&mgr), leading_cube_(mgr.one()) {
     const std::unordered_set<std::uint32_t> qset(quantify.begin(),
                                                  quantify.end());
@@ -25,50 +24,41 @@ quant_schedule::quant_schedule(bdd_manager& mgr,
         }
     }
 
+    // cost-driven greedy order: at each step pick the cluster that retires
+    // the most quantified variables (variables appearing in no other
+    // pending cluster) net of the variables it newly activates
     std::vector<std::size_t> order;
     order.reserve(clusters.size());
-    if (sequential) {
-        // chaining: apply the clusters strictly in declaration order, each
-        // partial product chained into the next (variables still retire at
-        // their last occurrence along the chain)
+    std::vector<bool> used(clusters.size(), false);
+    std::unordered_set<std::uint32_t> live;
+    for (std::size_t round = 0; round < clusters.size(); ++round) {
+        int best_score = std::numeric_limits<int>::min();
+        std::size_t best = 0;
         for (std::size_t k = 0; k < clusters.size(); ++k) {
-            order.push_back(k);
-        }
-    } else {
-        // cost-driven greedy order: at each step pick the cluster that
-        // retires the most quantified variables (variables appearing in no
-        // other pending cluster) net of the variables it newly activates
-        std::vector<bool> used(clusters.size(), false);
-        std::unordered_set<std::uint32_t> live;
-        for (std::size_t round = 0; round < clusters.size(); ++round) {
-            int best_score = std::numeric_limits<int>::min();
-            std::size_t best = 0;
-            for (std::size_t k = 0; k < clusters.size(); ++k) {
-                if (used[k]) { continue; }
-                int retired = 0, activated = 0;
-                for (const std::uint32_t v : qsupport[k]) {
-                    bool elsewhere = false;
-                    for (std::size_t m = 0; m < clusters.size(); ++m) {
-                        if (m == k || used[m]) { continue; }
-                        if (std::find(qsupport[m].begin(), qsupport[m].end(),
-                                      v) != qsupport[m].end()) {
-                            elsewhere = true;
-                            break;
-                        }
+            if (used[k]) { continue; }
+            int retired = 0, activated = 0;
+            for (const std::uint32_t v : qsupport[k]) {
+                bool elsewhere = false;
+                for (std::size_t m = 0; m < clusters.size(); ++m) {
+                    if (m == k || used[m]) { continue; }
+                    if (std::find(qsupport[m].begin(), qsupport[m].end(), v) !=
+                        qsupport[m].end()) {
+                        elsewhere = true;
+                        break;
                     }
-                    if (!elsewhere) { ++retired; }
-                    if (live.count(v) == 0) { ++activated; }
                 }
-                const int score = 2 * retired - activated;
-                if (score > best_score) {
-                    best_score = score;
-                    best = k;
-                }
+                if (!elsewhere) { ++retired; }
+                if (live.count(v) == 0) { ++activated; }
             }
-            used[best] = true;
-            order.push_back(best);
-            for (const std::uint32_t v : qsupport[best]) { live.insert(v); }
+            const int score = 2 * retired - activated;
+            if (score > best_score) {
+                best_score = score;
+                best = k;
+            }
         }
+        used[best] = true;
+        order.push_back(best);
+        for (const std::uint32_t v : qsupport[best]) { live.insert(v); }
     }
 
     // exact retirement: the last occurrence of each quantified variable along
@@ -88,29 +78,15 @@ quant_schedule::quant_schedule(bdd_manager& mgr,
 
     clusters_.reserve(order.size());
     cubes_.reserve(order.size());
-    cluster_tops_.reserve(order.size());
     for (std::size_t pos = 0; pos < order.size(); ++pos) {
         clusters_.push_back(clusters[order[pos]]);
         cubes_.push_back(mgr.cube(retired_[pos]));
-        // event locality: the root-most quantified variable the cluster
-        // reads (saturation splits frontiers at these levels)
-        std::uint32_t top = no_top;
-        for (const std::uint32_t v : qsupport[order[pos]]) {
-            if (top == no_top || mgr.level_of(v) < mgr.level_of(top)) {
-                top = v;
-            }
-        }
-        cluster_tops_.push_back(top);
     }
 
     // chain steps: fuse every empty-retire cluster into its successor so the
-    // step runs as one n-ary and-exists instead of a chain of binary ANDs.
-    // Not under the sequential (chaining) order, whose defining property is
-    // exactly that each partial product is chained into the next cluster one
-    // binary step at a time.
+    // step runs as one n-ary and-exists instead of a chain of binary ANDs
     for (std::size_t pos = 0; pos < clusters_.size(); ++pos) {
-        if (sequential || !retired_[pos].empty() ||
-            pos + 1 == clusters_.size()) {
+        if (!retired_[pos].empty() || pos + 1 == clusters_.size()) {
             run_end_.push_back(pos + 1);
         }
     }

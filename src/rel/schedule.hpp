@@ -10,11 +10,10 @@
 ///
 ///     apply(from) = exists Q . c_1 & ... & c_n & from
 ///
-/// Two orders are supported: a cost-driven greedy order (each step picks the
-/// cluster maximizing retired-minus-activated quantified variables) and the
-/// sequential declaration order (the chaining strategy).  Variables in Q that
-/// occur in no cluster at all are quantified straight out of `from` before
-/// the chain starts.
+/// The order is cost-driven and greedy: each step picks the cluster
+/// maximizing retired-minus-activated quantified variables.  Variables in Q
+/// that occur in no cluster at all are quantified straight out of `from`
+/// before the chain starts.
 #pragma once
 
 #include "bdd/bdd.hpp"
@@ -37,10 +36,6 @@ struct relation_stats {
     std::size_t images = 0;             ///< image() calls served
     std::size_t preimages = 0;          ///< preimage() calls served
     std::size_t peak_intermediate = 0;  ///< max partial-product DAG size
-    /// Saturation-strategy fires: image applications inside a saturation
-    /// fixpoint that discovered at least one new state (counted by the
-    /// fixpoint loop via `transition_relation::record_saturation_fire`).
-    std::size_t saturation_fires = 0;
 };
 
 /// An executable quantification schedule (order + per-cluster retire cubes).
@@ -48,11 +43,8 @@ class quant_schedule {
 public:
     quant_schedule() = default;
 
-    /// \param sequential keep the given cluster order (chaining) instead of
-    ///        the greedy cost-driven order
     quant_schedule(bdd_manager& mgr, const std::vector<bdd>& clusters,
-                   const std::vector<std::uint32_t>& quantify,
-                   bool sequential);
+                   const std::vector<std::uint32_t>& quantify);
 
     /// exists quantify . (AND clusters) & from.  Checks `deadline` before
     /// the leading quantification and between chain steps, *and* arms the
@@ -87,16 +79,6 @@ public:
     [[nodiscard]] const std::vector<std::uint32_t>& leading() const {
         return leading_;
     }
-    /// Event locality, per scheduled cluster: the root-most (lowest level)
-    /// quantified variable in the cluster's support, `no_top` when the
-    /// cluster has no quantified support.  A cluster only constrains states
-    /// at or below its top, so these anchors mark the variable levels where
-    /// distinct events live — the split points the saturation strategy uses
-    /// to carve frontiers into locality chunks.
-    static constexpr std::uint32_t no_top = 0xffffffffu;
-    [[nodiscard]] const std::vector<std::uint32_t>& cluster_tops() const {
-        return cluster_tops_;
-    }
 
     /// Copy the static schedule shape into a stats block.
     void describe(bdd_manager& mgr, relation_stats& stats) const;
@@ -112,15 +94,12 @@ private:
     std::vector<bdd> clusters_; ///< scheduled order
     std::vector<bdd> cubes_;    ///< per cluster: cube of `retired_[k]`
     std::vector<std::vector<std::uint32_t>> retired_;
-    std::vector<std::uint32_t> cluster_tops_; ///< see cluster_tops()
     std::vector<std::uint32_t> leading_;
     bdd leading_cube_;
     /// Batches for the n-ary and-exists: `run_end_[k]` is one past the last
     /// cluster of the k-th chain step; a step spans consecutive clusters of
     /// which only the last retires variables (empty-retire clusters are fused
     /// into their successor instead of paying a full binary and_exists each).
-    /// Sequential (chaining) schedules keep every cluster its own step — the
-    /// strictly-binary chain is that strategy's defining behavior.
     std::vector<std::size_t> run_end_;
 };
 

@@ -71,8 +71,6 @@ TEST(bench_policy, directions_match_the_documented_gate) {
               metric_direction::exact);
     EXPECT_EQ(bench_metric_policy("batch_solved").direction,
               metric_direction::exact);
-    EXPECT_EQ(bench_metric_policy("saturation_fires").direction,
-              metric_direction::exact);
     // unknown names are recorded but never gated
     EXPECT_EQ(bench_metric_policy("some_future_metric").direction,
               metric_direction::info);
@@ -243,9 +241,8 @@ TEST(bench_workloads, ids_are_stable_and_unknown_ids_throw) {
     ASSERT_FALSE(names.empty());
     for (const char* expected :
          {"solve/counter_x256", "reach/mix26", "batch/families",
-          "saturation/reach_mix26/before", "saturation/reach_mix26/after",
-          "saturation/reach_chain/before", "saturation/reach_chain/after",
-          "saturation/reach_lfsr14/before", "saturation/reach_lfsr14/after",
+          "reach/chain", "reach/chain/bfs", "reach/lfsr14",
+          "reach/lfsr14/bfs",
           "reach/wide_frontier", "table1/s349", "table1/s444",
           "table1/s298/monolithic"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), expected),
@@ -345,17 +342,14 @@ TEST(bench_artifacts, checked_in_baseline_parses_and_pins_the_wins) {
         return at == baseline.rows.end() ? nullptr : &*at;
     };
 
-    // The saturation strategy shows its win.  On every pinned pair the
-    // fixpoint is identical (the reached-state count is pinned equal); on
-    // the deep-sequential machines — one new state per step, so the
-    // textbook bfs baseline re-images the whole growing reached set
-    // thousands of times — saturation's frontier chunking must show
-    // strictly less cache traffic: a margin on the chain counter (whose
-    // compact {0..k} reached sets let the computed cache absorb most of
-    // the re-imaging) and a wide one on the LFSR (whose irregular reached
-    // set defeats that memoization).  mix26 (wide, shallow layers) is
-    // pinned for equivalence only: its honest numbers show the split
-    // overhead without a win, which is exactly why the strategy is opt-in.
+    // The frontier fixpoint shows its win over the textbook bfs one.  On
+    // both deep-sequential machines — one new state per step, so bfs
+    // re-images the whole growing reached set thousands of times — the
+    // fixpoint is identical (the reached-state count is pinned equal) and
+    // imaging only the frontier must show strictly less cache traffic: a
+    // margin on the chain counter (whose compact {0..k} reached sets let
+    // the computed cache absorb most of the re-imaging) and a wide one on
+    // the LFSR (whose irregular reached set defeats that memoization).
     const auto metric = [&row](const std::string& name,
                                const std::string& which) {
         const bench_row* r = row(name);
@@ -364,34 +358,25 @@ TEST(bench_artifacts, checked_in_baseline_parses_and_pins_the_wins) {
         EXPECT_NE(m, nullptr) << name << " " << which;
         return m == nullptr ? 0.0 : m->value;
     };
-    for (const char* pair :
-         {"saturation/reach_mix26", "saturation/reach_chain",
-          "saturation/reach_lfsr14"}) {
-        EXPECT_DOUBLE_EQ(metric(std::string(pair) + "/after", "reach_states"),
-                         metric(std::string(pair) + "/before", "reach_states"))
-            << pair << ": saturation reached a different fixpoint than bfs";
-        EXPECT_GT(metric(std::string(pair) + "/after", "saturation_fires"),
-                  0.0)
-            << pair;
-    }
-    for (const char* pair :
-         {"saturation/reach_chain", "saturation/reach_lfsr14"}) {
-        EXPECT_LT(metric(std::string(pair) + "/after", "cache_lookups"),
-                  metric(std::string(pair) + "/before", "cache_lookups"))
+    for (const std::string pair : {"reach/chain", "reach/lfsr14"}) {
+        EXPECT_DOUBLE_EQ(metric(pair, "reach_states"),
+                         metric(pair + "/bfs", "reach_states"))
+            << pair << ": frontier reached a different fixpoint than bfs";
+        EXPECT_LT(metric(pair, "cache_lookups"),
+                  metric(pair + "/bfs", "cache_lookups"))
             << pair
-            << ": the baseline no longer demonstrates the saturation win";
+            << ": the baseline no longer demonstrates the frontier win";
     }
     // the LFSR pair is the wide-margin case, pinned in cache misses (the
     // work the cache could not absorb, derived as lookups x (1 - hit
     // rate) like the compare gate does): bfs must miss more than 1.5x as
-    // often as saturation, or the strategy stopped exploiting the frontier
+    // often as frontier, or the fixpoint stopped imaging only the frontier
     const auto misses = [&metric](const std::string& name) {
         return metric(name, "cache_lookups") *
                (1.0 - metric(name, "cache_hit_rate"));
     };
-    EXPECT_LT(misses("saturation/reach_lfsr14/after") * 1.5,
-              misses("saturation/reach_lfsr14/before"))
-        << "the baseline no longer demonstrates the LFSR saturation win";
+    EXPECT_LT(misses("reach/lfsr14") * 1.5, misses("reach/lfsr14/bfs"))
+        << "the baseline no longer demonstrates the LFSR frontier win";
 
     // the paper's Table 1 rows carry the CSF sizes `--table1` prints, and
     // the monolithic baseline agrees with the partitioned flow on s298

@@ -218,37 +218,15 @@ TEST(cli_solve, blif_pair_and_every_flow) {
 TEST(cli_solve, knob_flags_reach_the_relation_layer) {
     const cli_run r =
         run({"solve", example("passthrough_f.kiss"),
-             example("passthrough_s.kiss"), "--strategy", "chaining",
-             "--policy", "affinity", "--cluster-limit", "100",
-             "--collect-stats", "--no-timing"});
+             example("passthrough_s.kiss"), "--policy", "affinity",
+             "--cluster-limit", "100", "--collect-stats", "--no-timing"});
     EXPECT_EQ(r.exit_code, 0) << r.err;
     const std::string line = first_line(r.out);
     EXPECT_TRUE(valid_json_object(line)) << line;
-    EXPECT_EQ(raw_field(line, "strategy"), "\"chaining\"");
     EXPECT_EQ(raw_field(line, "policy"), "\"affinity\"");
     EXPECT_EQ(raw_field(line, "cluster_limit"), "100");
     EXPECT_NE(raw_field(line, "peak_intermediate"), "");
     EXPECT_EQ(raw_field(line, "seconds"), ""); // --no-timing
-}
-
-TEST(cli_solve, saturation_strategy_is_accepted_and_echoed) {
-    // the fourth strategy parses, shows up in the options echo, and
-    // surfaces its fires counter in the stats block (saturation runs only)
-    const cli_run r =
-        run({"solve", "gen:chaincounter:2", "--strategy", "saturation",
-             "--no-timing"});
-    EXPECT_EQ(r.exit_code, 0) << r.err;
-    const std::string line = first_line(r.out);
-    EXPECT_TRUE(valid_json_object(line)) << line;
-    EXPECT_EQ(raw_field(line, "strategy"), "\"saturation\"");
-    EXPECT_EQ(raw_field(line, "status"), "\"ok\"");
-    EXPECT_NE(raw_field(line, "saturation_fires"), "") << line;
-
-    // under any other strategy the counter stays out of the stats block
-    const cli_run frontier =
-        run({"solve", "gen:chaincounter:2", "--no-timing"});
-    EXPECT_EQ(frontier.exit_code, 0) << frontier.err;
-    EXPECT_EQ(raw_field(first_line(frontier.out), "saturation_fires"), "");
 }
 
 TEST(cli_solve, gen_spec_generates_and_solves) {
@@ -298,6 +276,23 @@ TEST(cli_solve, cache_bits_flag_raises_the_cap_when_needed) {
     const std::string line = first_line(r.out);
     EXPECT_EQ(raw_field(line, "cache_bits"), "26");
     EXPECT_EQ(raw_field(line, "max_cache_bits"), "26");
+}
+
+TEST(cli_solve, cache_bits_pair_does_not_depend_on_flag_order) {
+    // a ceiling below the floor is lifted to it, as the manager does, in
+    // either order, so the record echoes the cache that actually runs
+    const cli_run floor_first =
+        run({"solve", "gen:counter:1", "--cache-bits", "20",
+             "--max-cache-bits", "8", "--no-timing"});
+    const cli_run ceiling_first =
+        run({"solve", "gen:counter:1", "--max-cache-bits", "8",
+             "--cache-bits", "20", "--no-timing"});
+    EXPECT_EQ(floor_first.exit_code, 0) << floor_first.err;
+    EXPECT_EQ(ceiling_first.exit_code, floor_first.exit_code);
+    EXPECT_EQ(ceiling_first.out, floor_first.out);
+    EXPECT_EQ(raw_field(first_line(floor_first.out), "cache_bits"), "20");
+    EXPECT_EQ(raw_field(first_line(floor_first.out), "max_cache_bits"),
+              "20");
 }
 
 TEST(cli_solve, cache_size_flags_are_echoed_and_solver_output_is_unchanged) {
@@ -370,10 +365,18 @@ TEST(cli_errors, memory_flags_reject_bad_values) {
     EXPECT_EQ(run({"solve", "--cache-bits"}).exit_code, 2);
 }
 
-TEST(cli_errors, gen_spec_rejects_bad_scale) {
+TEST(cli_errors, gen_spec_rejects_bad_scale_and_choice_inputs) {
     EXPECT_NE(run({"solve", "gen:counter:2:x"}).exit_code, 0);
     EXPECT_NE(run({"solve", "gen:counter:2:0"}).exit_code, 0);
     EXPECT_NE(run({"solve", "gen:counter:2:8:9"}).exit_code, 0);
+    // the scenario sets its own choice-input count; an explicit one used
+    // to be replaced without a word
+    for (const char* command : {"solve", "verify", "diagnose", "reduce"}) {
+        const cli_run r =
+            run({command, "gen:nondet:1", "--choice-inputs", "0"});
+        EXPECT_EQ(r.exit_code, 2) << command;
+        EXPECT_NE(r.err.find("--choice-inputs"), std::string::npos) << r.err;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -466,14 +469,8 @@ TEST(cli_errors, missing_input_file) {
 }
 
 TEST(cli_errors, missing_flag_value) {
-    EXPECT_EQ(run({"solve", "--strategy"}).exit_code, 2);
+    EXPECT_EQ(run({"solve", "--policy"}).exit_code, 2);
     EXPECT_EQ(run({"solve", "--cluster-limit", "lots"}).exit_code, 2);
-}
-
-TEST(cli_errors, unknown_strategy_still_rejected) {
-    const cli_run r = run({"solve", "--strategy", "saturati0n"});
-    EXPECT_EQ(r.exit_code, 2);
-    EXPECT_NE(r.err.find("unknown strategy"), std::string::npos);
 }
 
 TEST(cli_errors, numeric_flags_reject_trailing_garbage) {
@@ -497,12 +494,21 @@ TEST(cli_errors, time_limit_must_be_finite_unsigned_seconds) {
             run({"solve", "gen:counter:1", "--time-limit", bad});
         EXPECT_EQ(r.exit_code, 2) << "'" << bad << "'";
         EXPECT_NE(r.err.find("--time-limit"), std::string::npos) << r.err;
-        EXPECT_EQ(run_fuzz_tool(std::string("--seeds 0 --time-limit '") +
+        EXPECT_EQ(run_fuzz_tool(std::string("--seeds 1 --family counter "
+                                            "--no-shrink --time-limit '") +
                                 bad + "'"),
                   2)
             << "leq_fuzz '" << bad << "'";
     }
-    EXPECT_EQ(run_fuzz_tool("--seeds 0 --time-limit 5"), 0);
+    EXPECT_EQ(run_fuzz_tool("--seeds 1 --family counter --no-shrink "
+                            "--time-limit 5"),
+              0);
+}
+
+TEST(cli_errors, fuzz_rejects_zero_seeds) {
+    // a fuzz gate that runs no scenario must not pass
+    EXPECT_EQ(run_fuzz_tool("--seeds 0"), 2);
+    EXPECT_EQ(run_fuzz_tool("--seeds 0 --family counter"), 2);
 }
 
 TEST(cli_solve, time_limit_beyond_the_clock_range_is_unlimited) {
@@ -513,6 +519,11 @@ TEST(cli_solve, time_limit_beyond_the_clock_range_is_unlimited) {
 }
 
 TEST(cli_errors, removed_ablation_flags_are_rejected) {
+    const cli_run strategy =
+        run({"solve", "gen:counter:1", "--strategy", "frontier"});
+    EXPECT_EQ(strategy.exit_code, 2);
+    EXPECT_NE(strategy.err.find("--strategy"), std::string::npos)
+        << strategy.err;
     for (const char* flag : {"--no-early-quant", "--no-trim"}) {
         const cli_run r = run({"solve", "gen:counter:1", flag});
         EXPECT_EQ(r.exit_code, 2) << flag;

@@ -69,21 +69,29 @@ TEST(differential_oracle, mutants_exercise_the_diagnosis_replay) {
 
 TEST(differential_options_, matrix_is_a_real_sweep) {
     const std::vector<image_options> matrix = default_option_matrix();
-    ASSERT_GE(matrix.size(), 3u);
-    // at least three strategies (saturation included) and both cluster
-    // policies appear
-    bool bfs = false, frontier = false, saturation = false, affinity = false;
-    for (const image_options& o : matrix) {
-        bfs |= o.strategy == reach_strategy::bfs;
-        frontier |= o.strategy == reach_strategy::frontier;
-        saturation |= o.strategy == reach_strategy::saturation;
+    ASSERT_EQ(matrix.size(), 4u);
+    // both cluster policies, clustering off and a tight limit appear, and
+    // no two entries configure the same solve
+    bool greedy = false, affinity = false, unclustered = false, tight = false;
+    for (std::size_t k = 0; k < matrix.size(); ++k) {
+        const image_options& o = matrix[k];
+        greedy |= o.policy == cluster_policy::greedy;
         affinity |= o.policy == cluster_policy::affinity;
+        unclustered |= o.cluster_limit == 0;
+        tight |= o.cluster_limit > 0 && o.cluster_limit < 2500;
+        for (std::size_t m = 0; m < k; ++m) {
+            EXPECT_FALSE(matrix[m].policy == o.policy &&
+                         matrix[m].cluster_limit == o.cluster_limit)
+                << "entries " << m << " and " << k << " are the same solve";
+        }
     }
-    EXPECT_TRUE(bfs);
-    EXPECT_TRUE(frontier);
-    EXPECT_TRUE(saturation);
+    EXPECT_TRUE(greedy);
     EXPECT_TRUE(affinity);
-    EXPECT_FALSE(describe_option_matrix(matrix).empty());
+    EXPECT_TRUE(unclustered);
+    EXPECT_TRUE(tight);
+    EXPECT_EQ(describe_option_matrix(matrix),
+              "[greedy/limit2500, greedy/limit0, affinity/limit2500, "
+              "affinity/limit600]");
 }
 
 TEST(differential_fuzz, short_campaign_is_clean) {

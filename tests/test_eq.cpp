@@ -3,6 +3,7 @@
 /// partitioned flow, the monolithic baseline and the explicit Algorithm-1
 /// oracle must agree, and every solution must pass the paper's checks.
 
+#include "automata/kiss.hpp"
 #include "eq/solver.hpp"
 #include "eq/verify.hpp"
 #include "gen/scenario.hpp"
@@ -293,6 +294,37 @@ TEST(eq_canonical, minimized_csfs_of_both_flows_are_isomorphic_in_size) {
         EXPECT_EQ(a.num_states(), b.num_states()) << "circuit " << id;
         EXPECT_TRUE(language_equivalent(a, b)) << "circuit " << id;
     }
+}
+
+TEST(eq_canonical, partitioned_csf_keeps_the_interning_order) {
+    // The subset driver numbers subsets as it discovers them and expands
+    // them in that order (breadth first); the CSF keeps the numbering, and
+    // each state's edges keep the order of the cofactor-class split.  Other
+    // tests only compare one run with another, so this pins the text
+    // itself: the paper example split at latch 1, with its states and
+    // transitions in interning order (s14 is the don't-care state).
+    const instance inst(make_paper_example(), {1});
+    const equation_problem problem(inst.split.fixed, inst.original);
+    const solve_result r = solve_partitioned(problem);
+    ASSERT_EQ(r.status, solve_status::ok);
+    EXPECT_EQ(write_kiss_string(*r.csf, problem.u_vars, problem.v_vars),
+              ".i 1\n.o 1\n.s 15\n.p 36\n.r s0\n"
+              "0 s0 s0 0\n0 s0 s1 1\n1 s0 s2 -\n"
+              "1 s1 s3 0\n0 s1 s14 -\n"
+              "0 s2 s4 0\n0 s2 s5 1\n1 s2 s2 -\n"
+              "0 s3 s6 0\n0 s3 s7 1\n1 s3 s2 -\n"
+              "0 s4 s2 0\n1 s4 s2 -\n0 s4 s8 1\n"
+              "1 s5 s2 0\n0 s5 s14 -\n"
+              "0 s6 s3 0\n0 s6 s9 1\n1 s6 s2 -\n"
+              "1 s7 s3 0\n0 s7 s14 -\n"
+              "1 s8 s10 0\n0 s8 s14 -\n"
+              "1 s9 s11 0\n0 s9 s14 -\n"
+              "0 s10 s10 0\n0 s10 s12 1\n1 s10 s2 -\n"
+              "0 s11 s11 0\n0 s11 s13 1\n1 s11 s2 -\n"
+              "1 s12 s10 0\n0 s12 s14 -\n"
+              "1 s13 s11 0\n0 s13 s14 -\n"
+              "- s14 s14 -\n"
+              ".e\n");
 }
 
 TEST(eq_canonical, csf_is_deterministic_across_families) {

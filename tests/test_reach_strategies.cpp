@@ -1,19 +1,14 @@
 /// \file test_reach_strategies.cpp
-/// \brief The four reachability strategies (bfs / frontier / chaining /
-/// saturation) must be pure scheduling choices: on any machine, with
-/// clustering on or off, they reach the identical state set with the
-/// identical sat count — and all but saturation (whose worklist
-/// deliberately abandons layer order) the identical BFS layering.
-/// Cross-checked on randomly generated networks (plus structured families)
-/// and on the language-equation solvers, whose subset construction plumbs
-/// the same strategy option.
+/// \brief The two reachability strategies (the default frontier fixpoint
+/// and the textbook bfs one it is checked against) must be pure
+/// scheduling choices: on any machine, with clustering on or off, they
+/// reach the identical state set with the identical sat count and the
+/// identical BFS layering.  Cross-checked on randomly generated networks
+/// (plus structured families) and against an explicit-state BFS.
 
-#include "eq/solver.hpp"
-#include "eq/verify.hpp"
 #include "gen/scenario.hpp"
 #include "img/image.hpp"
 #include "net/generator.hpp"
-#include "net/latch_split.hpp"
 #include "net/netbdd.hpp"
 
 #include <gtest/gtest.h>
@@ -121,24 +116,19 @@ TEST_P(reach_strategies, identical_layering_and_depth) {
     auto [fns, vars] = setup(mgr, net);
     const bdd init = state_cube(mgr, vars.cs, net.initial_state());
 
-    // bfs/frontier/chaining add exactly the BFS layer Img(R_k) \ R_k per
-    // step, so depth and per-layer counts agree, not just the fixpoint
-    // (saturation reports a fires trace instead; see its own suite below)
+    // both strategies add exactly the BFS layer Img(R_k) \ R_k per step,
+    // so depth and per-layer counts agree, not just the fixpoint
     image_options options;
     options.strategy = reach_strategy::frontier;
     const reach_info reference = reachable_states_layered(
         mgr, fns.next_state, vars.cs, vars.ns, vars.in, init, options);
-    for (const reach_strategy strategy :
-         {reach_strategy::bfs, reach_strategy::chaining}) {
-        options.strategy = strategy;
-        const reach_info info = reachable_states_layered(
-            mgr, fns.next_state, vars.cs, vars.ns, vars.in, init, options);
-        EXPECT_EQ(info.reached, reference.reached);
-        EXPECT_EQ(info.depth, reference.depth) << to_string(strategy);
-        EXPECT_EQ(info.layer_states, reference.layer_states)
-            << to_string(strategy);
-        EXPECT_DOUBLE_EQ(info.total_states, reference.total_states);
-    }
+    options.strategy = reach_strategy::bfs;
+    const reach_info info = reachable_states_layered(
+        mgr, fns.next_state, vars.cs, vars.ns, vars.in, init, options);
+    EXPECT_EQ(info.reached, reference.reached);
+    EXPECT_EQ(info.depth, reference.depth);
+    EXPECT_EQ(info.layer_states, reference.layer_states);
+    EXPECT_DOUBLE_EQ(info.total_states, reference.total_states);
 }
 
 INSTANTIATE_TEST_SUITE_P(random_machines, reach_strategies,
@@ -163,84 +153,6 @@ TEST(reach_strategies_oracle, sat_count_matches_explicit_bfs) {
                               static_cast<std::uint32_t>(vars.cs.size())),
                 oracle)
                 << "machine " << id << " strategy " << to_string(strategy);
-        }
-    }
-}
-
-TEST(reach_strategies_saturation, pinned_state_count_identity_vs_bfs) {
-    // the locality-chunked worklist must close over exactly the states the
-    // textbook bfs fixpoint reaches — pinned per machine on the deep shapes
-    // saturation targets, via an explicitly built relation so the fires
-    // counter is observable alongside the trace
-    for (const int id : {1, 2, 3}) {
-        const network net = machine_for(id);
-        bdd_manager mgr;
-        auto [fns, vars] = setup(mgr, net);
-        const bdd init = state_cube(mgr, vars.cs, net.initial_state());
-        const auto nbits = static_cast<std::uint32_t>(vars.cs.size());
-
-        image_options options;
-        options.strategy = reach_strategy::bfs;
-        const reach_info bfs = reachable_states_layered(
-            mgr, fns.next_state, vars.cs, vars.ns, vars.in, init, options);
-
-        options.strategy = reach_strategy::saturation;
-        transition_relation relation = transition_relation::next_state(
-            mgr, fns.next_state, vars.cs, vars.ns, vars.in, options);
-        relation.rename_image_to_current();
-        const reach_info sat =
-            reachable_states_layered(relation, init, nbits);
-
-        EXPECT_EQ(sat.reached, bfs.reached) << "machine " << id;
-        EXPECT_DOUBLE_EQ(sat.total_states, bfs.total_states);
-        EXPECT_DOUBLE_EQ(mgr.sat_count(sat.reached, nbits),
-                         bfs.total_states);
-        // the saturation trace: depth counts fires, one layer entry per
-        // fire plus the init entry, and the fires land in the relation stats
-        EXPECT_EQ(sat.depth, relation.stats().saturation_fires)
-            << "machine " << id;
-        EXPECT_EQ(sat.layer_states.size(), sat.depth + 1);
-        EXPECT_GT(relation.stats().saturation_fires, 0u);
-        double discovered = 0.0;
-        for (const double states : sat.layer_states) { discovered += states; }
-        // chunks are disjoint from the reached set, so every state is
-        // discovered exactly once across the trace
-        EXPECT_DOUBLE_EQ(discovered, bfs.total_states) << "machine " << id;
-    }
-}
-
-TEST(reach_strategies_solver, csf_invariant_under_strategy) {
-    // the subset construction plumbs the strategy into its image engines and
-    // worklist discipline; the CSF language must not depend on it
-    const std::vector<std::pair<network, std::vector<std::size_t>>> instances =
-        {{make_paper_example(), {1}},
-         {make_counter(3), {0, 1}},
-         {make_shift_xor(3), {1, 2}}};
-    for (const auto& [original, x_latches] : instances) {
-        const split_result split = split_latches(original, x_latches);
-        const equation_problem problem(split.fixed, original);
-
-        solve_options base;
-        base.img.strategy = reach_strategy::frontier;
-        const solve_result reference = solve_partitioned(problem, base);
-        ASSERT_EQ(reference.status, solve_status::ok);
-        for (const reach_strategy strategy :
-             {reach_strategy::bfs, reach_strategy::chaining,
-              reach_strategy::saturation}) {
-            solve_options options;
-            options.img.strategy = strategy;
-            const solve_result part = solve_partitioned(problem, options);
-            const solve_result mono = solve_monolithic(problem, options);
-            ASSERT_EQ(part.status, solve_status::ok);
-            ASSERT_EQ(mono.status, solve_status::ok);
-            EXPECT_EQ(part.subset_states_explored,
-                      reference.subset_states_explored)
-                << to_string(strategy);
-            EXPECT_EQ(part.csf_states, reference.csf_states);
-            EXPECT_TRUE(language_equivalent(*part.csf, *reference.csf))
-                << original.name() << " " << to_string(strategy);
-            EXPECT_TRUE(language_equivalent(*mono.csf, *reference.csf))
-                << original.name() << " " << to_string(strategy);
         }
     }
 }

@@ -1,8 +1,8 @@
 /// \file test_relation.cpp
 /// \brief Oracle suite for the shared transition-relation subsystem
 /// (src/rel/): image/preimage over random partitions must equal the naive
-/// monolithic conjunction across the full {clustering policy x cluster_limit
-/// x strategy} option matrix, affinity clustering
+/// monolithic conjunction across the full {clustering policy x
+/// cluster_limit} option matrix, affinity clustering
 /// must respect its node bound, and relation-layer deadlines must interrupt
 /// image chains, reachability fixpoints and both solver flows.
 
@@ -58,13 +58,10 @@ std::vector<image_options> option_matrix() {
     for (const cluster_policy policy : all_cluster_policies) {
         for (const std::size_t limit :
              {std::size_t{0}, std::size_t{60}, std::size_t{2500}}) {
-            for (const reach_strategy strategy : all_reach_strategies) {
-                image_options o;
-                o.policy = policy;
-                o.cluster_limit = limit;
-                o.strategy = strategy;
-                matrix.push_back(o);
-            }
+            image_options o;
+            o.policy = policy;
+            o.cluster_limit = limit;
+            matrix.push_back(o);
         }
     }
     return matrix;
@@ -120,8 +117,7 @@ TEST_P(relation_oracle, image_matches_naive_monolithic_conjunction) {
             EXPECT_EQ(rel.image(from), reference)
                 << "machine " << GetParam() << " policy "
                 << to_string(options.policy) << " limit "
-                << options.cluster_limit << " strategy "
-                << to_string(options.strategy);
+                << options.cluster_limit;
         }
     }
 }
@@ -156,8 +152,7 @@ TEST_P(relation_oracle, preimage_matches_naive_monolithic_conjunction) {
             EXPECT_EQ(rel.preimage(to), reference)
                 << "machine " << GetParam() << " policy "
                 << to_string(options.policy) << " limit "
-                << options.cluster_limit << " strategy "
-                << to_string(options.strategy);
+                << options.cluster_limit;
         }
     }
 }
@@ -403,39 +398,6 @@ TEST(relation_deadline, op_deadline_interrupts_inside_a_chain_step) {
         mgr, fns.next_state, vars.cs, vars.ns, vars.in, {});
     EXPECT_EQ(again.image(from), result);
     EXPECT_FALSE(result.is_zero());
-}
-
-TEST(relation_deadline, saturation_fixpoint_throws_past_deadline) {
-    // the saturation worklist checks the deadline at every pop, so a deep
-    // recursion of chunk fires cannot outlive the budget between images
-    const network net = make_counter(8);
-    bdd_manager mgr;
-    auto [fns, vars] = setup(mgr, net);
-    const bdd init = state_cube(mgr, vars.cs, net.initial_state());
-    image_options options;
-    options.strategy = reach_strategy::saturation;
-    options.cluster_limit = 0; // construction merges nothing, so it survives
-    options.deadline = std::chrono::steady_clock::now() -
-                       std::chrono::seconds(1);
-    transition_relation rel = transition_relation::next_state(
-        mgr, fns.next_state, vars.cs, vars.ns, vars.in, options);
-    rel.rename_image_to_current();
-    EXPECT_THROW(
-        (void)reachable_states_layered(
-            rel, init, static_cast<std::uint32_t>(vars.cs.size())),
-        relation_deadline_exceeded);
-    EXPECT_EQ(rel.stats().saturation_fires, 0u); // unwound before any fire
-    EXPECT_THROW((void)reachable_states(mgr, fns.next_state, vars.cs,
-                                        vars.ns, vars.in, init, options),
-                 relation_deadline_exceeded);
-    // a generous deadline changes nothing
-    options.deadline = std::chrono::steady_clock::now() +
-                       std::chrono::hours(1);
-    const bdd limited = reachable_states(mgr, fns.next_state, vars.cs,
-                                         vars.ns, vars.in, init, options);
-    const bdd reference = reachable_states(mgr, fns.next_state, vars.cs,
-                                           vars.ns, vars.in, init);
-    EXPECT_EQ(limited, reference);
 }
 
 TEST(relation_deadline, solvers_translate_deadline_into_timeout_status) {

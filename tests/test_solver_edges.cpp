@@ -58,27 +58,6 @@ TEST(solver_edges, huge_time_limit_is_unlimited) {
     EXPECT_EQ(solve_monolithic(problem, options).status, solve_status::ok);
 }
 
-TEST(solver_edges, saturation_time_limit_reports_timeout) {
-    // the deadline armed from time_limit_seconds trips inside the
-    // saturation worklist too; both solvers must translate the throw into
-    // a timeout status instead of leaking the exception
-    structured_spec spec;
-    spec.num_inputs = 3;
-    spec.num_outputs = 6;
-    spec.num_latches = 14;
-    spec.seed = 14;
-    const network original = make_structured_mix(spec);
-    const split_result split = split_last_latches(original, 7);
-    const equation_problem problem(split.fixed, original);
-    solve_options options;
-    options.img.strategy = reach_strategy::saturation;
-    options.time_limit_seconds = 1e-9;
-    EXPECT_EQ(solve_partitioned(problem, options).status,
-              solve_status::timeout);
-    EXPECT_EQ(solve_monolithic(problem, options).status,
-              solve_status::timeout);
-}
-
 // ---------------------------------------------------------------------------
 // option combinations must not change the answer
 // ---------------------------------------------------------------------------

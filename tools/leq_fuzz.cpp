@@ -26,7 +26,7 @@ using namespace leq;
 int usage() {
     std::cerr
         << "usage: leq_fuzz [options]\n"
-        << "  --seeds N         seeds per family (default 20)\n"
+        << "  --seeds N         seeds per family, at least 1 (default 20)\n"
         << "  --seed-base B     first seed (default 1; nightly CI derives\n"
         << "                    this from the run number)\n"
         << "  --family F        run one family (repeatable); default all\n"
@@ -76,6 +76,11 @@ int parse_args(int argc, char** argv, fuzz_options& options, bool& quiet) {
                 return usage();
             }
             if (arg == "--seeds") {
+                if (*count == 0) {
+                    // a fuzz gate that runs nothing must not pass
+                    std::cerr << "leq_fuzz: --seeds needs a count >= 1\n";
+                    return 2;
+                }
                 options.seeds = static_cast<std::size_t>(*count);
             } else {
                 options.seed_base = static_cast<std::uint32_t>(*count);
